@@ -15,6 +15,7 @@
 #include "crypto/random.h"
 #include "crypto/sha.h"
 #include "dprf/ggm_dprf.h"
+#include "rsse/leaf_resolver.h"
 #include "rsse/local_backend.h"
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
@@ -355,6 +356,51 @@ void BM_KeywordTokenSearch(benchmark::State& state) {
                           kPerKeyword);
 }
 BENCHMARK(BM_KeywordTokenSearch)->Arg(16)->Arg(256);
+
+void BM_ServeLeaves(benchmark::State& state) {
+  // The served Constant shape: one 2^L-leaf GGM token resolved through the
+  // shared leaf resolver (expand, leaf KDF, K1 setup + label 0, probe,
+  // chain and decrypt for the hits) over a store where every 10th value
+  // of a 2^16 domain holds one entry. items/s counts leaves, so ns/leaf
+  // reads directly against BM_DprfExpandSubtree (expansion alone) and the
+  // served per-leaf cost.
+  constexpr int kBits = 16;
+  const int level = static_cast<int>(state.range(0));
+  GgmDprf dprf(crypto::GenerateKey(), kBits);
+  class DprfDeriver : public sse::KeywordKeyDeriver {
+   public:
+    explicit DprfDeriver(const GgmDprf& dprf) : dprf_(dprf) {}
+    sse::KeywordKeys Derive(const Bytes& w) const override {
+      return sse::KeysFromSharedSecret(dprf_.Eval(ReadUint64(w, 0)));
+    }
+
+   private:
+    const GgmDprf& dprf_;
+  } deriver(dprf);
+  sse::PlainMultimap postings;
+  for (uint64_t v = 0; v < (uint64_t{1} << kBits); v += 10) {
+    Bytes keyword;
+    AppendUint64(keyword, v);
+    postings[keyword].push_back(sse::EncodeIdPayload(v));
+  }
+  shard::ShardOptions options;
+  options.shards = 1;  // the served default
+  auto store = shard::ShardedEmm::Build(postings, deriver, options);
+  GgmDprf::Token token{dprf.NodeSeed(DyadicNode{level, 3}), level};
+  class CountSink : public PayloadSink {
+   public:
+    void Add(ConstByteSpan payload) override { bytes += payload.size(); }
+    size_t bytes = 0;
+  } sink;
+  LeafResolverScratch scratch;
+  sse::SearchStats stats;
+  for (auto _ : state) {
+    ResolveGgmToken(token, *store, nullptr, scratch, sink, &stats);
+    benchmark::DoNotOptimize(sink.bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * (int64_t{1} << level));
+}
+BENCHMARK(BM_ServeLeaves)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_PackedSearch(benchmark::State& state) {
   // Ablation: the paper's space-efficient packed SSE backend (TSet-style,

@@ -52,6 +52,12 @@
 /// points at (the pointer itself is unguarded).
 #define RSSE_PT_GUARDED_BY(x) RSSE_THREAD_ANNOTATION_(pt_guarded_by(x))
 
+/// Declares a lock order on a capability member: it is acquired before
+/// the listed capabilities whenever both are held (checked by Clang's
+/// -Wthread-safety-beta).
+#define RSSE_ACQUIRED_BEFORE(...) \
+  RSSE_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
+
 /// Declares that the function must be called with the capability held
 /// exclusively (…_SHARED: at least shared). The caller keeps it held.
 #define RSSE_REQUIRES(...) \

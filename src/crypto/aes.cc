@@ -3,13 +3,136 @@
 #include <openssl/evp.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "crypto/random.h"
 
+#if (defined(__x86_64__) || defined(__amd64__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define RSSE_AESNI_COMPILED 1
+#include <immintrin.h>
+#endif
+
 namespace rsse::crypto {
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// AES-NI decryption for the batch API. A served Constant query decrypts
+// one entry per hit leaf, each under a different key, so the per-call cost
+// of an EVP key schedule (a provider fetch plus init, several µs) dwarfs
+// the one block of work; expanding the key with AESKEYGENASSIST costs tens
+// of nanoseconds. RSSE_NO_AVX2=1, the switch that sends every
+// hand-vectorized kernel to its fallback, routes decryption through EVP.
+// ---------------------------------------------------------------------------
+
+#ifdef RSSE_AESNI_COMPILED
+
+template <int kRcon>
+__attribute__((target("aes,sse2"))) inline __m128i ExpandKeyStep(__m128i key) {
+  const __m128i t =
+      _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, kRcon), 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, t);
+}
+
+/// Decryption round keys of the last key seen on this thread: consecutive
+/// batches of one keyword chain reuse the schedule, as the EVP path's
+/// cached context does.
+struct AesNiDecryptSchedule {
+  uint8_t key[Aes128Cbc::kKeyBytes] = {};
+  __m128i dk[11];
+  bool valid = false;
+};
+
+/// Decrypts `blocks` 16-byte blocks of `buf` in place (AES-128-ECB).
+__attribute__((target("aes,sse2"))) void AesNiDecryptBlocks(
+    const uint8_t* key, uint8_t* buf, size_t blocks) {
+  thread_local AesNiDecryptSchedule schedule;
+  if (!schedule.valid ||
+      std::memcmp(schedule.key, key, Aes128Cbc::kKeyBytes) != 0) {
+    __m128i ek[11];
+    ek[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+    ek[1] = ExpandKeyStep<0x01>(ek[0]);
+    ek[2] = ExpandKeyStep<0x02>(ek[1]);
+    ek[3] = ExpandKeyStep<0x04>(ek[2]);
+    ek[4] = ExpandKeyStep<0x08>(ek[3]);
+    ek[5] = ExpandKeyStep<0x10>(ek[4]);
+    ek[6] = ExpandKeyStep<0x20>(ek[5]);
+    ek[7] = ExpandKeyStep<0x40>(ek[6]);
+    ek[8] = ExpandKeyStep<0x80>(ek[7]);
+    ek[9] = ExpandKeyStep<0x1b>(ek[8]);
+    ek[10] = ExpandKeyStep<0x36>(ek[9]);
+    // Equivalent inverse cipher: round keys reversed, InvMixColumns
+    // applied to the middle nine.
+    schedule.dk[0] = ek[10];
+    for (int r = 1; r < 10; ++r) {
+      schedule.dk[r] = _mm_aesimc_si128(ek[10 - r]);
+    }
+    schedule.dk[10] = ek[0];
+    std::memcpy(schedule.key, key, Aes128Cbc::kKeyBytes);
+    schedule.valid = true;
+  }
+  // Round keys in locals: stores through `buf` (a byte pointer) may alias
+  // anything, which would otherwise force a reload of every key per round.
+  __m128i dk[11];
+  for (int r = 0; r < 11; ++r) dk[r] = schedule.dk[r];
+
+  constexpr size_t kWay = 8;  // blocks in flight: hides AESDEC latency
+  size_t b = 0;
+  for (; b + kWay <= blocks; b += kWay) {
+    __m128i x[kWay];
+    for (size_t j = 0; j < kWay; ++j) {
+      x[j] = _mm_xor_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + 16 * (b + j))),
+          dk[0]);
+    }
+    for (int r = 1; r < 10; ++r) {
+      for (size_t j = 0; j < kWay; ++j) x[j] = _mm_aesdec_si128(x[j], dk[r]);
+    }
+    for (size_t j = 0; j < kWay; ++j) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(buf + 16 * (b + j)),
+                       _mm_aesdeclast_si128(x[j], dk[10]));
+    }
+  }
+  for (; b < blocks; ++b) {
+    __m128i x = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + 16 * b)),
+        dk[0]);
+    for (int r = 1; r < 10; ++r) x = _mm_aesdec_si128(x, dk[r]);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(buf + 16 * b),
+                     _mm_aesdeclast_si128(x, dk[10]));
+  }
+}
+
+bool AesNiEnabled() {
+  static const bool enabled = [] {
+    const char* off = std::getenv("RSSE_NO_AVX2");
+    if (off != nullptr && off[0] != '\0' && off[0] != '0') return false;
+    return __builtin_cpu_supports("aes") != 0 &&
+           __builtin_cpu_supports("sse2") != 0;
+  }();
+  return enabled;
+}
+
+#else
+
+bool AesNiEnabled() { return false; }
+
+void AesNiDecryptBlocks(const uint8_t*, uint8_t*, size_t) { std::abort(); }
+
+#endif  // RSSE_AESNI_COMPILED
+
+/// AES-128-ECB fetched once: passing EVP_aes_128_ecb() to an init makes
+/// OpenSSL 3 fetch the provider implementation again on every call.
+/// Intentionally never freed (process-lifetime singleton).
+const EVP_CIPHER* Aes128Ecb() {
+  static EVP_CIPHER* cipher = EVP_CIPHER_fetch(nullptr, "AES-128-ECB", nullptr);
+  return cipher;
+}
 
 /// Per-thread cipher context plus the key its schedule was computed for.
 /// When consecutive calls reuse the key (every counter probe of a keyword
@@ -63,7 +186,8 @@ bool InitCachedEcb(CachedCipherCtx& cached, ConstByteSpan key, bool encrypt) {
     return true;  // ECB: no per-call state to reset
   }
   auto init = encrypt ? EVP_EncryptInit_ex : EVP_DecryptInit_ex;
-  if (init(cached.ctx, EVP_aes_128_ecb(), nullptr, key.data(), nullptr) != 1) {
+  if (Aes128Ecb() == nullptr ||
+      init(cached.ctx, Aes128Ecb(), nullptr, key.data(), nullptr) != 1) {
     cached.keyed = false;
     return false;
   }
@@ -413,23 +537,28 @@ Status Aes128Cbc::DecryptManyInto(ConstByteSpan key, ConstByteSpan cts,
   }
   // One in-place ECB pass over the whole batch: ECB has no cross-block
   // state, so entry boundaries are irrelevant here.
-  CachedCipherCtx& cached = ThreadEcbDecryptCtx();
-  if (!InitCachedEcb(cached, key, /*encrypt=*/false)) {
-    return Status::Internal("AES-ECB decrypt init failed");
-  }
-  size_t done = 0;
-  while (done < body_total) {
-    // Chunked only to respect EVP's int length parameter.
-    const size_t step = std::min<size_t>(body_total - done, size_t{1} << 30);
-    int dec_len = 0;
-    if (EVP_DecryptUpdate(cached.ctx, out.data() + done, &dec_len,
-                          out.data() + done, static_cast<int>(step)) != 1 ||
-        dec_len != static_cast<int>(step)) {
-      cached.keyed = false;
-      EVP_CIPHER_CTX_reset(cached.ctx);
-      return Status::Internal("AES-ECB batch decryption failed");
+  if (AesNiEnabled()) {
+    AesNiDecryptBlocks(key.data(), out.data(), body_total / kBlockBytes);
+  } else {
+    CachedCipherCtx& cached = ThreadEcbDecryptCtx();
+    if (!InitCachedEcb(cached, key, /*encrypt=*/false)) {
+      return Status::Internal("AES-ECB decrypt init failed");
     }
-    done += step;
+    size_t done = 0;
+    while (done < body_total) {
+      // Chunked only to respect EVP's int length parameter.
+      const size_t step =
+          std::min<size_t>(body_total - done, size_t{1} << 30);
+      int dec_len = 0;
+      if (EVP_DecryptUpdate(cached.ctx, out.data() + done, &dec_len,
+                            out.data() + done, static_cast<int>(step)) != 1 ||
+          dec_len != static_cast<int>(step)) {
+        cached.keyed = false;
+        EVP_CIPHER_CTX_reset(cached.ctx);
+        return Status::Internal("AES-ECB batch decryption failed");
+      }
+      done += step;
+    }
   }
   // CBC chaining (XOR with the previous ciphertext block — the IV for each
   // entry's first block) and per-entry PKCS#7 validation.

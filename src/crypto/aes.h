@@ -92,7 +92,9 @@ class Aes128Cbc {
   /// `kBadEntry` when that entry's PKCS#7 padding is invalid (wrong key);
   /// other entries still decrypt. Returns InvalidArgument only for
   /// malformed arguments (bad key size, misaligned lengths, short
-  /// buffers).
+  /// buffers). On AES-NI hosts the key is expanded per call (tens of
+  /// nanoseconds, so a one-entry batch under a fresh key stays cheap);
+  /// elsewhere, or with RSSE_NO_AVX2=1, one cached EVP context decrypts.
   static Status DecryptManyInto(ConstByteSpan key, ConstByteSpan cts,
                                 std::span<const uint32_t> ct_lens,
                                 ByteSpan out,

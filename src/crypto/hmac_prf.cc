@@ -90,6 +90,9 @@ struct Prf::Impl {
   /// evaluations neither allocate nor share mutable state.
   SHA512_CTX inner;
   SHA512_CTX outer;
+  /// The same two midstates as bare hash words, for the multi-lane
+  /// counter kernel (OpenSSL's SHA_LONG64 is a distinct 64-bit type).
+  HmacSha512Midstates midstates;
   bool valid = false;
 };
 
@@ -121,6 +124,10 @@ Prf::Prf(const Bytes& key) : impl_(std::make_unique<Impl>()) {
   if (SHA512_Init(&impl_->outer) != 1 ||
       SHA512_Update(&impl_->outer, pad, sizeof(pad)) != 1) {
     return;
+  }
+  for (int w = 0; w < 8; ++w) {
+    impl_->midstates.inner[w] = impl_->inner.h[w];
+    impl_->midstates.outer[w] = impl_->outer.h[w];
   }
   impl_->valid = true;
 }
@@ -161,34 +168,8 @@ bool Prf::EvalCountersInto(uint64_t start, size_t count, ByteSpan out,
                            size_t out_len) const {
   if (!ok() || out_len == 0 || out_len > kMaxOutputBytes) return false;
   if (out.size() < count * out_len) return false;
-  size_t i = 0;
-  if (const size_t lanes = HmacSha512CounterLanes(); lanes != 0) {
-    // The midstates' hash words feed the vector kernel directly; `lanes`
-    // counter MACs per pair of vector compressions. (Copied out because
-    // OpenSSL's SHA_LONG64 is a distinct 64-bit type from uint64_t.)
-    uint64_t inner_h[8];
-    uint64_t outer_h[8];
-    for (int w = 0; w < 8; ++w) {
-      inner_h[w] = impl_->inner.h[w];
-      outer_h[w] = impl_->outer.h[w];
-    }
-    for (; i + lanes <= count; i += lanes) {
-      HmacSha512CounterLanesEval(inner_h, outer_h, start + i,
-                                 out.data() + i * out_len, out_len, out_len);
-    }
-  }
-  // Scalar tail (and the whole run on hosts without the x4 kernel).
-  for (; i < count; ++i) {
-    uint8_t counter[8];
-    const uint64_t c = start + i;
-    for (int b = 0; b < 8; ++b) {
-      counter[b] = static_cast<uint8_t>(c >> (56 - 8 * b));
-    }
-    if (!EvalInto(ConstByteSpan(counter, sizeof(counter)),
-                  ByteSpan(out.data() + i * out_len, out_len))) {
-      return false;
-    }
-  }
+  HmacSha512Counters(impl_->midstates, start, count, out.data(), out_len,
+                     out_len);
   return true;
 }
 

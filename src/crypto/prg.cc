@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "crypto/hmac_prf.h"
+#include "crypto/sha512_x4.h"
 
 namespace rsse::crypto {
 
@@ -40,6 +41,15 @@ void HmacExpandInto(const uint8_t* seed, uint8_t* left, uint8_t* right) {
   }
   std::memcpy(left, mac, kLambdaBytes);
   std::memcpy(right, mac + kLambdaBytes, kLambdaBytes);
+}
+
+/// The public key's midstates for the multi-lane frontier kernel.
+const HmacSha512Midstates& PublicHmacMidstates() {
+  static const HmacSha512Midstates mid = [] {
+    const Bytes key = ToBytes("rsse-ggm-public-expansion-key");
+    return HmacSha512KeyMidstates(key.data(), key.size());
+  }();
+  return mid;
 }
 
 // ---------------------------------------------------------------------------
@@ -107,6 +117,7 @@ void AesExpandInto(const uint8_t* seed, uint8_t* left, uint8_t* right) {
 // Parents per batched frontier expansion: 256 parents = 512 AES blocks =
 // 8 KiB per buffer, small enough for the stack, large enough that the EVP
 // dispatch overhead (the dominant cost of two-block calls) amortizes away.
+// The HMAC backend stages the same chunks for its multi-lane kernel.
 constexpr size_t kFrontierChunk = 256;
 
 /// Expands `count` <= kFrontierChunk parent seeds into their 2·count
@@ -174,23 +185,27 @@ void GgmPrg::ExpandInto(const uint8_t* seed, uint8_t* left, uint8_t* right) {
 }
 
 void GgmPrg::ExpandFrontierInPlace(uint8_t* buf, size_t count) {
-  // Walk the frontier right to left: the chunk [i0, i0 + cnt) writes its
-  // children to [2·i0, 2·(i0 + cnt)), which never touches the unprocessed
-  // parents below i0 (2·i0 >= i0); parents inside the chunk are staged
-  // into a private buffer (AES) or read before their slots are written
-  // (HMAC walks one node at a time, and ExpandInto tolerates aliasing).
-  if (backend() == Backend::kAes) {
-    size_t i0 = count;
-    while (i0 > 0) {
-      const size_t cnt = std::min(kFrontierChunk, i0);
-      i0 -= cnt;
+  // Walk the frontier right to left in chunks: the chunk [i0, i0 + cnt)
+  // writes its children to [2·i0, 2·(i0 + cnt)), which never touches the
+  // unprocessed parents below i0 (2·i0 >= i0); parents inside the chunk
+  // are staged into a private buffer before anything is written.
+  const bool aes = backend() == Backend::kAes;
+  size_t i0 = count;
+  while (i0 > 0) {
+    const size_t cnt = std::min(kFrontierChunk, i0);
+    i0 -= cnt;
+    if (aes) {
       AesExpandFrontierChunk(buf + i0 * kLambdaBytes, cnt,
                              buf + 2 * i0 * kLambdaBytes);
-    }
-  } else {
-    for (size_t i = count; i-- > 0;) {
-      HmacExpandInto(buf + i * kLambdaBytes, buf + 2 * i * kLambdaBytes,
-                     buf + (2 * i + 1) * kLambdaBytes);
+    } else {
+      // HMAC: one 64-byte MAC per parent, 8 or 4 parents per pair of
+      // vector compressions; G0 || G1 is the MAC's leading 32 bytes, so
+      // both children land in place with one 32-byte write.
+      uint8_t parents[kFrontierChunk * kLambdaBytes];
+      std::memcpy(parents, buf + i0 * kLambdaBytes, cnt * kLambdaBytes);
+      HmacSha512Msg16(PublicHmacMidstates(), parents, cnt,
+                      buf + 2 * i0 * kLambdaBytes, 2 * kLambdaBytes,
+                      2 * kLambdaBytes);
     }
   }
 }

@@ -67,8 +67,8 @@ class GgmPrg {
   /// seeds. Produces bit-identical output to per-node `ExpandInto` calls —
   /// the AES backend batches the frontier into multi-block
   /// `EVP_EncryptUpdate` calls (one per 256-parent chunk) instead of
-  /// dispatching two blocks at a time, which roughly doubles wide-subtree
-  /// expansion throughput.
+  /// dispatching two blocks at a time, and the HMAC backend runs 8 (or 4)
+  /// parents per pair of vector SHA-512 compressions (crypto/sha512_x4.h).
   static void ExpandFrontierInPlace(uint8_t* buf, size_t count);
 };
 

@@ -1,7 +1,15 @@
+// The scalar tier runs OpenSSL's SHA-512 block function directly
+// (SHA512_Transform) on midstates the vector tiers share.
+#define OPENSSL_SUPPRESS_DEPRECATED
+
 #include "crypto/sha512_x4.h"
+
+#include <openssl/sha.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if (defined(__x86_64__) || defined(__amd64__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -18,6 +26,30 @@
 namespace rsse::crypto {
 
 namespace {
+
+inline uint64_t LoadBe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return __builtin_bswap64(v);
+}
+
+inline void StoreBe64(uint8_t* p, uint64_t v) {
+  v = __builtin_bswap64(v);
+  std::memcpy(p, &v, 8);
+}
+
+// FIPS 180-4 initial hash value.
+constexpr uint64_t kIv[8] = {
+    0x6a09e667f3bcc908ull, 0xbb67ae8584caa73bull, 0x3c6ef372fe94f82bull,
+    0xa54ff53a5f1d36f1ull, 0x510e527fade682d1ull, 0x9b05688c2b3e6c1full,
+    0x1f83d9abfb41bd6bull, 0x5be0cd19137e2179ull};
+
+constexpr uint64_t kPadWord = 0x8000000000000000ull;
+// Bit lengths of the inner message (key block + 8-byte counter or 16-byte
+// message) and of the outer message (key block + 64-byte inner digest).
+constexpr uint64_t kCounterBits = (128 + 8) * 8;
+constexpr uint64_t kMsg16Bits = (128 + 16) * 8;
+constexpr uint64_t kOuterBits = (128 + 64) * 8;
 
 #ifdef RSSE_SHA512_X4_COMPILED
 
@@ -133,55 +165,6 @@ __attribute__((target("avx2"))) void TransformX4(__m256i state[8],
   state[7] = _mm256_add_epi64(state[7], h);
 }
 
-__attribute__((target("avx2"))) void HmacCounterX4Avx2(
-    const uint64_t inner_state[8], const uint64_t outer_state[8],
-    uint64_t start, uint8_t* out, size_t out_len, size_t out_stride) {
-  // Inner message block, as 64-bit words: the big-endian counter IS word 0;
-  // word 1 is the 0x80 padding byte; word 15 is the bit length of the
-  // 136-byte (key block + counter) message.
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i w[16];
-  w[0] = _mm256_set_epi64x(
-      static_cast<long long>(start + 3), static_cast<long long>(start + 2),
-      static_cast<long long>(start + 1), static_cast<long long>(start));
-  w[1] = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  for (int t = 2; t < 15; ++t) w[t] = zero;
-  w[15] = _mm256_set1_epi64x((128 + 8) * 8);
-
-  __m256i state[8];
-  for (int i = 0; i < 8; ++i) {
-    state[i] = _mm256_set1_epi64x(static_cast<long long>(inner_state[i]));
-  }
-  TransformX4(state, w);
-
-  // Outer message block: the inner digest words are the message words
-  // verbatim (both sides are big-endian word streams), so the hand-off
-  // never leaves the registers.
-  for (int t = 0; t < 8; ++t) w[t] = state[t];
-  w[8] = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  for (int t = 9; t < 15; ++t) w[t] = zero;
-  w[15] = _mm256_set1_epi64x((128 + 64) * 8);
-  for (int i = 0; i < 8; ++i) {
-    state[i] = _mm256_set1_epi64x(static_cast<long long>(outer_state[i]));
-  }
-  TransformX4(state, w);
-
-  // Emit the leading out_len MAC bytes per lane (big-endian words).
-  const size_t words = (out_len + 7) / 8;
-  uint64_t lanes[8][4];
-  for (size_t wd = 0; wd < words; ++wd) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes[wd]), state[wd]);
-  }
-  for (size_t l = 0; l < 4; ++l) {
-    uint8_t mac[64];
-    for (size_t wd = 0; wd < words; ++wd) {
-      const uint64_t be = __builtin_bswap64(lanes[wd][l]);
-      std::memcpy(mac + 8 * wd, &be, 8);
-    }
-    std::memcpy(out + l * out_stride, mac, out_len);
-  }
-}
-
 bool DetectAvx2() {
   // RSSE_NO_AVX2 forces the scalar fallback (testing / triage).
   const char* off = std::getenv("RSSE_NO_AVX2");
@@ -267,50 +250,6 @@ __attribute__((target("avx512f"))) void TransformX8(__m512i state[8],
   state[7] = _mm512_add_epi64(state[7], h);
 }
 
-__attribute__((target("avx512f"))) void HmacCounterX8Avx512(
-    const uint64_t inner_state[8], const uint64_t outer_state[8],
-    uint64_t start, uint8_t* out, size_t out_len, size_t out_stride) {
-  const __m512i zero = _mm512_setzero_si512();
-  __m512i w[16];
-  w[0] = _mm512_set_epi64(
-      static_cast<long long>(start + 7), static_cast<long long>(start + 6),
-      static_cast<long long>(start + 5), static_cast<long long>(start + 4),
-      static_cast<long long>(start + 3), static_cast<long long>(start + 2),
-      static_cast<long long>(start + 1), static_cast<long long>(start));
-  w[1] = _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ull));
-  for (int t = 2; t < 15; ++t) w[t] = zero;
-  w[15] = _mm512_set1_epi64((128 + 8) * 8);
-
-  __m512i state[8];
-  for (int i = 0; i < 8; ++i) {
-    state[i] = _mm512_set1_epi64(static_cast<long long>(inner_state[i]));
-  }
-  TransformX8(state, w);
-
-  for (int t = 0; t < 8; ++t) w[t] = state[t];
-  w[8] = _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ull));
-  for (int t = 9; t < 15; ++t) w[t] = zero;
-  w[15] = _mm512_set1_epi64((128 + 64) * 8);
-  for (int i = 0; i < 8; ++i) {
-    state[i] = _mm512_set1_epi64(static_cast<long long>(outer_state[i]));
-  }
-  TransformX8(state, w);
-
-  const size_t words = (out_len + 7) / 8;
-  uint64_t lanes[8][8];
-  for (size_t wd = 0; wd < words; ++wd) {
-    _mm512_storeu_si512(lanes[wd], state[wd]);
-  }
-  for (size_t l = 0; l < 8; ++l) {
-    uint8_t mac[64];
-    for (size_t wd = 0; wd < words; ++wd) {
-      const uint64_t be = __builtin_bswap64(lanes[wd][l]);
-      std::memcpy(mac + 8 * wd, &be, 8);
-    }
-    std::memcpy(out + l * out_stride, mac, out_len);
-  }
-}
-
 bool DetectAvx512() {
   // RSSE_NO_AVX2 disables every vector kernel; RSSE_NO_AVX512 disables
   // only the 8-lane tier, so the 4-lane AVX2 path can be pinned by tests
@@ -321,7 +260,274 @@ bool DetectAvx512() {
   return __builtin_cpu_supports("avx512f") != 0;
 }
 
+/// Word-major ("structure of arrays") lane blocks: `st[w][l]` is hash word
+/// w of lane l, `w[t][l]` message word t of lane l. The vector tiers load
+/// one word of every lane with a single unaligned load.
+__attribute__((target("avx2"))) void CompressX4(uint64_t (*st)[4],
+                                                const uint64_t (*w)[4]) {
+  __m256i state[8];
+  __m256i msg[16];
+  for (int i = 0; i < 8; ++i) {
+    state[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(st[i]));
+  }
+  for (int t = 0; t < 16; ++t) {
+    msg[t] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w[t]));
+  }
+  TransformX4(state, msg);
+  for (int i = 0; i < 8; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st[i]), state[i]);
+  }
+}
+
+__attribute__((target("avx512f"))) void CompressX8(uint64_t (*st)[8],
+                                                   const uint64_t (*w)[8]) {
+  __m512i state[8];
+  __m512i msg[16];
+  for (int i = 0; i < 8; ++i) state[i] = _mm512_loadu_si512(st[i]);
+  for (int t = 0; t < 16; ++t) msg[t] = _mm512_loadu_si512(w[t]);
+  TransformX8(state, msg);
+  for (int i = 0; i < 8; ++i) _mm512_storeu_si512(st[i], state[i]);
+}
+
+// Whole-HMAC tiers: the inner compression, then the outer one on the
+// inner digest without leaving the registers (see Hmac1).
+__attribute__((target("avx2"))) void HmacX4(uint64_t (*st)[4],
+                                            const uint64_t (*w)[4],
+                                            const uint64_t (*outer)[4]) {
+  __m256i state[8];
+  __m256i msg[16];
+  for (int i = 0; i < 8; ++i) {
+    state[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(st[i]));
+  }
+  for (int t = 0; t < 16; ++t) {
+    msg[t] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w[t]));
+  }
+  TransformX4(state, msg);
+  for (int t = 0; t < 8; ++t) msg[t] = state[t];
+  msg[8] = _mm256_set1_epi64x(static_cast<long long>(kPadWord));
+  for (int t = 9; t < 15; ++t) msg[t] = _mm256_setzero_si256();
+  msg[15] = _mm256_set1_epi64x(static_cast<long long>(kOuterBits));
+  for (int i = 0; i < 8; ++i) {
+    state[i] =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(outer[i]));
+  }
+  TransformX4(state, msg);
+  for (int i = 0; i < 8; ++i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(st[i]), state[i]);
+  }
+}
+
+__attribute__((target("avx512f"))) void HmacX8(uint64_t (*st)[8],
+                                               const uint64_t (*w)[8],
+                                               const uint64_t (*outer)[8]) {
+  __m512i state[8];
+  __m512i msg[16];
+  for (int i = 0; i < 8; ++i) state[i] = _mm512_loadu_si512(st[i]);
+  for (int t = 0; t < 16; ++t) msg[t] = _mm512_loadu_si512(w[t]);
+  TransformX8(state, msg);
+  for (int t = 0; t < 8; ++t) msg[t] = state[t];
+  msg[8] = _mm512_set1_epi64(static_cast<long long>(kPadWord));
+  for (int t = 9; t < 15; ++t) msg[t] = _mm512_setzero_si512();
+  msg[15] = _mm512_set1_epi64(static_cast<long long>(kOuterBits));
+  for (int i = 0; i < 8; ++i) state[i] = _mm512_loadu_si512(outer[i]);
+  TransformX8(state, msg);
+  for (int i = 0; i < 8; ++i) _mm512_storeu_si512(st[i], state[i]);
+}
+
 #endif  // RSSE_SHA512_X4_COMPILED
+
+/// One scalar compression through OpenSSL's SHA-512 block function (the
+/// host's fastest single-stream code); the scalar tier and the lanes left
+/// over after the vector groups.
+void Compress1(uint64_t (*st)[1], const uint64_t (*w)[1]) {
+  SHA512_CTX ctx{};
+  for (int i = 0; i < 8; ++i) ctx.h[i] = st[i][0];
+  uint8_t block[128];
+  for (int t = 0; t < 16; ++t) StoreBe64(block + 8 * t, w[t][0]);
+  SHA512_Transform(&ctx, block);
+  for (int i = 0; i < 8; ++i) st[i][0] = ctx.h[i];
+}
+
+/// Scalar whole HMAC: the inner compression, then the outer one over the
+/// inner digest words (message words verbatim — both sides big-endian).
+void Hmac1(uint64_t (*st)[1], const uint64_t (*w)[1],
+           const uint64_t (*outer)[1]) {
+  Compress1(st, w);
+  uint64_t w2[16][1] = {};
+  for (int t = 0; t < 8; ++t) w2[t][0] = st[t][0];
+  w2[8][0] = kPadWord;
+  w2[15][0] = kOuterBits;
+  for (int i = 0; i < 8; ++i) st[i][0] = outer[i][0];
+  Compress1(st, w2);
+}
+
+/// The compression and whole-HMAC primitives of each tier, over lane
+/// blocks `st[8][L]` (hash words) and `w[16][L]` (message words).
+template <size_t L>
+struct Tier;
+
+template <>
+struct Tier<1> {
+  static constexpr auto kCompress = Compress1;
+  static constexpr auto kHmac = Hmac1;
+};
+
+#ifdef RSSE_SHA512_X4_COMPILED
+template <>
+struct Tier<4> {
+  static constexpr auto kCompress = CompressX4;
+  static constexpr auto kHmac = HmacX4;
+};
+
+template <>
+struct Tier<8> {
+  static constexpr auto kCompress = CompressX8;
+  static constexpr auto kHmac = HmacX8;
+};
+#endif
+
+/// Writes the leading `out_len` MAC bytes of each lane (big-endian words).
+template <size_t L>
+void EmitLanes(const uint64_t (*st)[L], uint8_t* out, size_t out_len,
+               size_t out_stride) {
+  const size_t words = (out_len + 7) / 8;
+  for (size_t l = 0; l < L; ++l) {
+    uint8_t mac[64];
+    for (size_t wd = 0; wd < words; ++wd) StoreBe64(mac + 8 * wd, st[wd][l]);
+    std::memcpy(out + l * out_stride, mac, out_len);
+  }
+}
+
+template <size_t L>
+void Broadcast(const uint64_t words[8], uint64_t (*dst)[L]) {
+  for (int i = 0; i < 8; ++i) {
+    for (size_t l = 0; l < L; ++l) dst[i][l] = words[i];
+  }
+}
+
+/// Fills a one-block inner message whose payload occupies the first
+/// `payload_words` words: SHA-512 padding after it, bit length last.
+template <size_t L>
+void PadInnerBlock(uint64_t (*w)[L], int payload_words, uint64_t bits) {
+  for (int t = payload_words; t < 16; ++t) {
+    const uint64_t v = t == payload_words ? kPadWord : (t == 15 ? bits : 0);
+    for (size_t l = 0; l < L; ++l) w[t][l] = v;
+  }
+}
+
+/// The three kernel shapes over whole groups of `L` lanes. Each returns
+/// how many items it processed (count rounded down to a multiple of L);
+/// the caller finishes the rest on the scalar tier.
+template <size_t L>
+size_t CountersRun(const HmacSha512Midstates& key, uint64_t start,
+                   size_t count, uint8_t* out, size_t out_len,
+                   size_t out_stride) {
+  uint64_t inner[8][L];
+  uint64_t outer[8][L];
+  Broadcast<L>(key.inner, inner);
+  Broadcast<L>(key.outer, outer);
+  uint64_t w[16][L];
+  PadInnerBlock<L>(w, 1, kCounterBits);
+  size_t i = 0;
+  for (; i + L <= count; i += L) {
+    for (size_t l = 0; l < L; ++l) w[0][l] = start + i + l;
+    uint64_t st[8][L];
+    std::memcpy(st, inner, sizeof(st));
+    Tier<L>::kHmac(st, w, outer);
+    EmitLanes<L>(st, out + i * out_stride, out_len, out_stride);
+  }
+  return i;
+}
+
+template <size_t L>
+size_t Msg16Run(const HmacSha512Midstates& key, const uint8_t* msgs,
+                size_t count, uint8_t* out, size_t out_len,
+                size_t out_stride) {
+  uint64_t inner[8][L];
+  uint64_t outer[8][L];
+  Broadcast<L>(key.inner, inner);
+  Broadcast<L>(key.outer, outer);
+  uint64_t w[16][L];
+  PadInnerBlock<L>(w, 2, kMsg16Bits);
+  size_t i = 0;
+  for (; i + L <= count; i += L) {
+    for (size_t l = 0; l < L; ++l) {
+      w[0][l] = LoadBe64(msgs + (i + l) * 16);
+      w[1][l] = LoadBe64(msgs + (i + l) * 16 + 8);
+    }
+    uint64_t st[8][L];
+    std::memcpy(st, inner, sizeof(st));
+    Tier<L>::kHmac(st, w, outer);
+    EmitLanes<L>(st, out + i * out_stride, out_len, out_stride);
+  }
+  return i;
+}
+
+template <size_t L>
+size_t Key16SetupRun(const uint8_t* keys, size_t key_stride, size_t count,
+                     HmacSha512Midstates* midstates, uint8_t* out,
+                     size_t out_len, size_t out_stride) {
+  constexpr uint64_t kIpad = 0x3636363636363636ull;
+  constexpr uint64_t kOpad = 0x5c5c5c5c5c5c5c5cull;
+  // The counter-0 message block is the same for every lane and group.
+  uint64_t label0[16][L];
+  for (size_t l = 0; l < L; ++l) label0[0][l] = 0;
+  PadInnerBlock<L>(label0, 1, kCounterBits);
+  size_t i = 0;
+  for (; i + L <= count; i += L) {
+    // Key block XOR ipad / opad: the 16 key bytes, then zero padding
+    // (which XORs to the pad byte itself).
+    uint64_t inner[8][L];
+    uint64_t outer[8][L];
+    for (const auto& [st, pad] : {std::pair{inner, kIpad},
+                                  std::pair{outer, kOpad}}) {
+      uint64_t w[16][L];
+      for (size_t l = 0; l < L; ++l) {
+        const uint8_t* k = keys + (i + l) * key_stride;
+        w[0][l] = LoadBe64(k) ^ pad;
+        w[1][l] = LoadBe64(k + 8) ^ pad;
+      }
+      for (int t = 2; t < 16; ++t) {
+        for (size_t l = 0; l < L; ++l) w[t][l] = pad;
+      }
+      for (int h = 0; h < 8; ++h) {
+        for (size_t l = 0; l < L; ++l) st[h][l] = kIv[h];
+      }
+      Tier<L>::kCompress(st, w);
+    }
+    for (size_t l = 0; l < L; ++l) {
+      for (int h = 0; h < 8; ++h) {
+        midstates[i + l].inner[h] = inner[h][l];
+        midstates[i + l].outer[h] = outer[h][l];
+      }
+    }
+    // F(key, BE64(0)) under the fresh midstates.
+    Tier<L>::kHmac(inner, label0, outer);
+    EmitLanes<L>(inner, out + i * out_stride, out_len, out_stride);
+  }
+  return i;
+}
+
+/// Runs the widest tier the host has over whole lane groups, then the
+/// scalar tier over what is left. `run(lanes, first)` processes items
+/// from index `first` on and returns the index it stopped at.
+template <typename RunFn>
+void DispatchTiers(size_t count, RunFn&& run) {
+  size_t done = 0;
+#ifdef RSSE_SHA512_X4_COMPILED
+  switch (HmacSha512CounterLanes()) {
+    case 8:
+      done = run(std::integral_constant<size_t, 8>{}, done);
+      break;
+    case 4:
+      done = run(std::integral_constant<size_t, 4>{}, done);
+      break;
+    default:
+      break;
+  }
+#endif
+  if (done < count) run(std::integral_constant<size_t, 1>{}, done);
+}
 
 }  // namespace
 
@@ -334,27 +540,65 @@ size_t HmacSha512CounterLanes() {
 #endif
 }
 
-void HmacSha512CounterLanesEval(const uint64_t inner_state[8],
-                                const uint64_t outer_state[8], uint64_t start,
-                                uint8_t* out, size_t out_len,
-                                size_t out_stride) {
-#ifdef RSSE_SHA512_X4_COMPILED
-  if (HmacSha512CounterLanes() == 8) {
-    HmacCounterX8Avx512(inner_state, outer_state, start, out, out_len,
-                        out_stride);
-  } else {
-    HmacCounterX4Avx2(inner_state, outer_state, start, out, out_len,
-                      out_stride);
+HmacSha512Midstates HmacSha512KeyMidstates(const uint8_t* key,
+                                           size_t key_len) {
+  uint8_t block[128] = {0};
+  if (key_len > sizeof(block)) {
+    SHA512(key, key_len, block);
+  } else if (key_len > 0) {
+    std::memcpy(block, key, key_len);
   }
-#else
-  (void)inner_state;
-  (void)outer_state;
-  (void)start;
-  (void)out;
-  (void)out_len;
-  (void)out_stride;
-  std::abort();  // contract: callers gate on HmacSha512CounterLanes() != 0
-#endif
+  HmacSha512Midstates mid;
+  for (const auto& [dst, pad] : {std::pair{mid.inner, uint8_t{0x36}},
+                                 std::pair{mid.outer, uint8_t{0x5c}}}) {
+    uint64_t st[8][1];
+    uint64_t w[16][1];
+    for (int t = 0; t < 16; ++t) {
+      uint8_t padded[8];
+      for (int b = 0; b < 8; ++b) {
+        padded[b] = static_cast<uint8_t>(block[8 * t + b] ^ pad);
+      }
+      w[t][0] = LoadBe64(padded);
+    }
+    for (int h = 0; h < 8; ++h) st[h][0] = kIv[h];
+    Compress1(st, w);
+    for (int h = 0; h < 8; ++h) dst[h] = st[h][0];
+  }
+  return mid;
+}
+
+void HmacSha512Counters(const HmacSha512Midstates& key, uint64_t start,
+                        size_t count, uint8_t* out, size_t out_len,
+                        size_t out_stride) {
+  DispatchTiers(count, [&](auto lanes, size_t first) {
+    constexpr size_t L = decltype(lanes)::value;
+    return first + CountersRun<L>(
+                       key, start + first, count - first,
+                       out + first * out_stride, out_len, out_stride);
+  });
+}
+
+void HmacSha512Msg16(const HmacSha512Midstates& key, const uint8_t* msgs,
+                     size_t count, uint8_t* out, size_t out_len,
+                     size_t out_stride) {
+  DispatchTiers(count, [&](auto lanes, size_t first) {
+    constexpr size_t L = decltype(lanes)::value;
+    return first + Msg16Run<L>(
+                       key, msgs + first * 16, count - first,
+                       out + first * out_stride, out_len, out_stride);
+  });
+}
+
+void HmacSha512Key16Setup(const uint8_t* keys, size_t key_stride,
+                          size_t count, HmacSha512Midstates* midstates,
+                          uint8_t* out, size_t out_len, size_t out_stride) {
+  DispatchTiers(count, [&](auto lanes, size_t first) {
+    constexpr size_t L = decltype(lanes)::value;
+    return first + Key16SetupRun<L>(
+                       keys + first * key_stride, key_stride, count - first,
+                       midstates + first, out + first * out_stride, out_len,
+                       out_stride);
+  });
 }
 
 }  // namespace rsse::crypto

@@ -6,9 +6,26 @@
 #include "common/env.h"
 #include "common/parallel.h"
 #include "rsse/bloom_gate.h"
-#include "sse/keyword_keys.h"
+#include "rsse/leaf_resolver.h"
 
 namespace rsse {
+
+namespace {
+
+/// Collects resolved payloads as owned byte strings (the `ResolvedIds`
+/// the owner decodes).
+class PayloadVectorSink : public PayloadSink {
+ public:
+  explicit PayloadVectorSink(std::vector<Bytes>& out) : out_(out) {}
+  void Add(ConstByteSpan payload) override {
+    out_.emplace_back(payload.begin(), payload.end());
+  }
+
+ private:
+  std::vector<Bytes>& out_;
+};
+
+}  // namespace
 
 void LocalBackend::AddEmmStore(uint32_t store, const shard::ShardedEmm* emm,
                                const sse::LabelGate* gate) {
@@ -52,8 +69,7 @@ Result<ResolvedIds> LocalBackend::Resolve(const TokenSet& tokens) {
   }
 
   // GGM subtree tokens: covering nodes are independent, so they stride
-  // across workers; within a worker the leaf buffer and derived key pair
-  // are reused across expansions.
+  // across workers, each with its own resolver scratch.
   if (!tokens.ggm.empty()) {
     const int threads = static_cast<int>(std::min<size_t>(
         static_cast<size_t>(
@@ -63,18 +79,12 @@ Result<ResolvedIds> LocalBackend::Resolve(const TokenSet& tokens) {
     std::vector<sse::SearchStats> per_worker(
         static_cast<size_t>(std::max(threads, 1)));
     auto worker = [&](int t) {
-      std::vector<Label> leaves;
-      sse::KeywordKeys keys;
+      LeafResolverScratch scratch;
       for (size_t i = static_cast<size_t>(t); i < tokens.ggm.size();
            i += static_cast<size_t>(threads)) {
-        if (!GgmDprf::ExpandInto(tokens.ggm[i], leaves)) continue;
-        for (const Label& leaf : leaves) {
-          sse::KeysFromSharedSecretInto(
-              ConstByteSpan(leaf.data(), leaf.size()), keys);
-          std::vector<Bytes> hits = slot->emm->Search(
-              keys, slot->gate, &per_worker[static_cast<size_t>(t)]);
-          for (Bytes& hit : hits) per_token[i].push_back(std::move(hit));
-        }
+        PayloadVectorSink sink(per_token[i]);
+        ResolveGgmToken(tokens.ggm[i], *slot->emm, slot->gate, scratch, sink,
+                        &per_worker[static_cast<size_t>(t)]);
       }
     };
     RunWorkers(threads, worker);

@@ -309,11 +309,19 @@ Result<SetupResponse> EmmClient::Setup(const Bytes& index_blob) {
 }
 
 Result<SetupResponse> EmmClient::SetupStore(const SetupStoreRequest& req) {
+  return SetupStore(req.store_id, req.kind,
+                    ConstByteSpan(req.index_blob.data(), req.index_blob.size()),
+                    ConstByteSpan(req.gate_blob.data(), req.gate_blob.size()));
+}
+
+Result<SetupResponse> EmmClient::SetupStore(uint32_t store_id, uint8_t kind,
+                                            ConstByteSpan index_blob,
+                                            ConstByteSpan gate_blob) {
+  const SetupStoreFrame frame(store_id, kind, index_blob, gate_blob);
+  const std::array<ConstByteSpan, 4> parts = frame.Spans();
   return RetryIdempotent<SetupResponse>([&]() -> Result<SetupResponse> {
-    const Bytes payload = req.Encode();
-    RSSE_RETURN_IF_ERROR(SendFrame(
-        FrameType::kSetupStoreReq,
-        {ConstByteSpan(payload.data(), payload.size())}));
+    RSSE_RETURN_IF_ERROR(SendFrame(FrameType::kSetupStoreReq,
+                                   {parts[0], parts[1], parts[2], parts[3]}));
     Result<Frame> frame = RecvFrame();
     if (!frame.ok()) return frame.status();
     if (frame->type == FrameType::kError) return ServerError(frame->payload);

@@ -73,6 +73,12 @@ class EmmClient {
   /// remote_backend.h for the whole-scheme helper.
   Result<SetupResponse> SetupStore(const SetupStoreRequest& req);
 
+  /// As above, streamed from the caller's buffers: the frame goes out as a
+  /// scatter list (`SetupStoreFrame`), so neither blob is copied.
+  Result<SetupResponse> SetupStore(uint32_t store_id, uint8_t kind,
+                                   ConstByteSpan index_blob,
+                                   ConstByteSpan gate_blob);
+
   /// One range query of a batch: caller-chosen id plus the delegated
   /// covering tokens (`ConstantScheme::Delegate` output).
   struct BatchQuery {

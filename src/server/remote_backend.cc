@@ -72,12 +72,12 @@ Result<rsse::ResolvedIds> RemoteBackend::Resolve(
 Status InstallServerSetup(EmmClient& client,
                           const rsse::ServerSetup& setup) {
   for (const rsse::StoreSetup& store : setup.stores) {
-    SetupStoreRequest req;
-    req.store_id = store.store;
-    req.kind = static_cast<uint8_t>(store.kind);
-    req.index_blob = store.index_blob;
-    req.gate_blob = store.gate_blob;
-    Result<SetupResponse> resp = client.SetupStore(req);
+    // Streamed straight from the setup's blobs: no request copy, no
+    // encoded-frame copy.
+    Result<SetupResponse> resp = client.SetupStore(
+        store.store, static_cast<uint8_t>(store.kind),
+        ConstByteSpan(store.index_blob.data(), store.index_blob.size()),
+        ConstByteSpan(store.gate_blob.data(), store.gate_blob.size()));
     if (!resp.ok()) return resp.status();
   }
   return Status::Ok();

@@ -23,6 +23,8 @@
 #include "common/mapped_file.h"
 #include "common/stats.h"
 #include "dprf/ggm_dprf.h"
+#include "rsse/leaf_resolver.h"
+#include "sse/encrypted_multimap.h"
 #include "sse/keyword_keys.h"
 
 namespace rsse::server {
@@ -65,6 +67,21 @@ NodeKey KeyOf(const WireToken& t) {
   return key;
 }
 
+/// Decodes resolved id payloads straight into a stream's id buffer (a
+/// payload that is not an 8-byte id is dropped, as the owner would).
+class IdSink : public rsse::PayloadSink {
+ public:
+  explicit IdSink(std::vector<uint64_t>& ids) : ids_(ids) {}
+  void Add(ConstByteSpan payload) override {
+    if (auto id = sse::DecodeIdPayload(payload); id.has_value()) {
+      ids_.push_back(*id);
+    }
+  }
+
+ private:
+  std::vector<uint64_t>& ids_;
+};
+
 /// ServerOptions::mmap_stores tri-state: an explicit setting wins, -1
 /// falls back to the RSSE_MMAP environment toggle.
 bool ResolveMmapOption(int requested) {
@@ -102,9 +119,11 @@ Status EmmServer::Host(const Bytes& index_blob) {
   Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
       index_blob, threads, options_.load_shards);
   if (!store.ok()) return store.status();
-  WriterMutexLock lock(store_mutex_);
+  MutexLock serial(update_mutex_);
   // Persist before apply: if the snapshot cannot be made durable the
-  // in-memory table keeps its previous (still-recoverable) contents.
+  // in-memory table keeps its previous (still-recoverable) contents. Only
+  // the writer lock is held across the snapshot IO.
+  uint8_t format = 0;
   if (persist_ != nullptr) {
     const uint64_t epoch = store_epochs_[rsse::kPrimaryStore] + 1;
     const uint8_t kind = static_cast<uint8_t>(rsse::StoreKind::kEmm);
@@ -123,9 +142,11 @@ Status EmmServer::Host(const Bytes& index_blob) {
           ConstByteSpan(index_blob.data(), index_blob.size()), {}));
     }
     store_epochs_[rsse::kPrimaryStore] = epoch;
-    store_formats_[rsse::kPrimaryStore] = mmap_on_ ? 2 : 1;
     dirty_stores_.erase(rsse::kPrimaryStore);
+    format = mmap_on_ ? 2 : 1;
   }
+  WriterMutexLock lock(store_mutex_);
+  if (format != 0) store_formats_[rsse::kPrimaryStore] = format;
   HostedStore& primary = stores_[rsse::kPrimaryStore];
   primary.kind = rsse::StoreKind::kEmm;
   primary.emm = std::move(store).value();
@@ -149,6 +170,7 @@ Status EmmServer::RecoverStores() {
   Result<StorePersistence::RecoveryReport> report = (*persistence)->Recover();
   if (!report.ok()) return report.status();
   {
+    MutexLock serial(update_mutex_);
     WriterMutexLock lock(store_mutex_);
     for (const StorePersistence::RecoveredStore& rec : report->stores) {
       Status installed = InstallRecoveredStore(rec);
@@ -463,6 +485,7 @@ Status EmmServer::Serve() {
 }
 
 void EmmServer::FoldDirtyStores() {
+  MutexLock serial(update_mutex_);
   WriterMutexLock lock(store_mutex_);
   for (uint32_t store_id : dirty_stores_) {
     auto it = stores_.find(store_id);
@@ -1000,9 +1023,11 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
     return;
   }
   {
-    WriterMutexLock lock(store_mutex_);
+    MutexLock serial(update_mutex_);
     // Durability before visibility: a slot the server acked must survive
-    // a crash, so the snapshot reaches disk before the table swap.
+    // a crash, so the snapshot reaches disk before the table swap. Only
+    // the writer lock is held across the snapshot IO.
+    uint8_t format = 0;
     if (persist_ != nullptr) {
       const uint64_t epoch = store_epochs_[req->store_id] + 1;
       const bool as_v2 =
@@ -1029,9 +1054,11 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
         return;
       }
       store_epochs_[req->store_id] = epoch;
-      store_formats_[req->store_id] = as_v2 ? 2 : 1;
       dirty_stores_.erase(req->store_id);
+      format = as_v2 ? 2 : 1;
     }
+    WriterMutexLock lock(store_mutex_);
+    if (format != 0) store_formats_[req->store_id] = format;
     stores_[req->store_id] = std::move(incoming);
     hosted_ = true;
   }
@@ -1047,18 +1074,22 @@ void EmmServer::RunUpdate(Connection& conn, const Bytes& payload) {
   }
   UpdateResponse resp;
   {
-    // Updates mutate the store table: exclusive lock, so a racing search
-    // segment sees the dictionary entirely before or entirely after this
-    // batch.
-    WriterMutexLock lock(store_mutex_);
-    HostedStore& primary = stores_[rsse::kPrimaryStore];
-    if (primary.kind != rsse::StoreKind::kEmm) {
-      EmitError(conn, "primary store is not an encrypted dictionary");
-      return;
+    // The writer lock keeps WAL order, epoch tagging and apply order one
+    // sequence; the store lock is taken only around what searches see.
+    MutexLock serial(update_mutex_);
+    {
+      ReaderMutexLock lock(store_mutex_);
+      const auto it = stores_.find(rsse::kPrimaryStore);
+      if (it != stores_.end() && it->second.kind != rsse::StoreKind::kEmm) {
+        EmitError(conn, "primary store is not an encrypted dictionary");
+        return;
+      }
     }
     // WAL-before-apply: the batch is fsync'd (tagged with the live
     // snapshot's epoch) before any entry lands in memory, so an acked
-    // update can never be lost and a nacked one is never applied.
+    // update can never be lost and a nacked one is never applied. Searches
+    // keep their shared store lock meanwhile; no other writer can change
+    // the slot's kind or epoch while the writer lock is held.
     if (persist_ != nullptr) {
       const Status logged = persist_->AppendUpdate(
           rsse::kPrimaryStore, store_epochs_[rsse::kPrimaryStore],
@@ -1068,6 +1099,15 @@ void EmmServer::RunUpdate(Connection& conn, const Bytes& payload) {
         return;
       }
     }
+    // Inserts copy touched shards off the mapping; remember to fold the
+    // deltas into a fresh v2 snapshot at the next clean drain.
+    if (mmap_on_ && persist_ != nullptr) {
+      dirty_stores_.insert(rsse::kPrimaryStore);
+    }
+    // Exclusive only for the in-memory apply, so a racing search segment
+    // sees the dictionary entirely before or entirely after this batch.
+    WriterMutexLock lock(store_mutex_);
+    HostedStore& primary = stores_[rsse::kPrimaryStore];
     // A shipped Bloom gate was built over the setup-time labels only;
     // keeping it would silently skip-decrypt (drop) every updated entry.
     // Correctness wins: drop the gate, the owner re-ships one with the
@@ -1075,11 +1115,6 @@ void EmmServer::RunUpdate(Connection& conn, const Bytes& payload) {
     primary.gate.reset();
     for (const auto& [label, value] : req->entries) {
       primary.emm.Insert(label, ConstByteSpan(value.data(), value.size()));
-    }
-    // Inserts copy touched shards off the mapping; remember to fold the
-    // deltas into a fresh v2 snapshot at the next clean drain.
-    if (mmap_on_ && persist_ != nullptr) {
-      dirty_stores_.insert(rsse::kPrimaryStore);
     }
     hosted_ = true;
     resp.entries = primary.emm.EntryCount();
@@ -1319,9 +1354,8 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
     }
     store = &slot->second;
   }
-  // Scratch reused across this segment's work units.
-  std::vector<Label> leaves;
-  sse::KeywordKeys leaf_keys;
+  // Ids of the current GGM work unit, reused across this segment's units.
+  std::vector<uint64_t> unit_ids;
   for (;;) {
     const EmitResult emit = PumpEmission(conn, s);
     if (emit == EmitResult::kAbort) return JobResult::kDone;
@@ -1367,24 +1401,16 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
     }
     switch (s.producer) {
       case ResultStream::Producer::kGgm: {
-        const GgmDprf::Token& token = s.tokens[s.next_work];
-        std::vector<uint64_t> unit_ids;
+        // Per-worker resolver scratch: workers are long-lived, so the
+        // steady state allocates nothing per leaf or per hit.
+        thread_local rsse::LeafResolverScratch scratch;
+        unit_ids.clear();
+        IdSink sink(unit_ids);
         sse::SearchStats search_stats;
-        if (GgmDprf::ExpandInto(token, leaves)) {
-          s.done.leaves_searched += leaves.size();
-          for (const Label& leaf : leaves) {
-            sse::KeysFromSharedSecretInto(
-                ConstByteSpan(leaf.data(), leaf.size()), leaf_keys);
-            for (const Bytes& payload_bytes :
-                 store->emm.Search(leaf_keys, store->gate.get(),
-                                   &search_stats)) {
-              if (auto id = sse::DecodeIdPayload(payload_bytes);
-                  id.has_value()) {
-                unit_ids.push_back(*id);
-              }
-            }
-          }
-        }
+        s.done.leaves_searched +=
+            rsse::ResolveGgmToken(s.tokens[s.next_work], store->emm,
+                                  store->gate.get(), scratch, sink,
+                                  &search_stats);
         s.done.skipped_decrypts += search_stats.skipped_decrypts;
         for (uint32_t qi : s.token_queries[s.next_work]) {
           s.ids[qi].insert(s.ids[qi].end(), unit_ids.begin(),

@@ -376,9 +376,10 @@ class EmmServer {
   bool AllConnectionsQuiesced();
 
   /// Rebuilds one recovered slot (deserialize or map + WAL replay) into
-  /// the store table. Called under the exclusive store lock.
+  /// the store table. Called under the writer lock and the exclusive
+  /// store lock.
   Status InstallRecoveredStore(const StorePersistence::RecoveredStore& rec)
-      RSSE_REQUIRES(store_mutex_);
+      RSSE_REQUIRES(update_mutex_, store_mutex_);
 
   /// Re-snapshots every dirty (updated-since-snapshot) EMM store as a v2
   /// image — the clean-drain fold that turns WAL deltas back into a
@@ -407,16 +408,23 @@ class EmmServer {
   RecoveryStats recovery_stats_;
   /// Resolved mmap-serving mode (options_.mmap_stores / RSSE_MMAP).
   bool mmap_on_ = false;
-  /// Guards the store table and its persistence bookkeeping: searches
-  /// take it shared per run segment, Setup/Update/recovery exclusive.
+  /// Guards the in-memory store table: searches take it shared per run
+  /// segment; writers take it exclusively only to swap a slot or apply
+  /// inserts, never across persistence IO.
   mutable SharedMutex store_mutex_;
+  /// Serializes every store-table writer — Setup, SetupStore, Update,
+  /// recovery and the drain fold — so WAL order, epoch tagging and apply
+  /// order stay one sequence. A writer persists (snapshot write, WAL
+  /// append + fsync) holding only this lock, so searches keep running
+  /// through its fsync.
+  Mutex update_mutex_ RSSE_ACQUIRED_BEFORE(store_mutex_);
   /// Per-slot snapshot epoch (see persist.h).
-  std::map<uint32_t, uint64_t> store_epochs_ RSSE_GUARDED_BY(store_mutex_);
+  std::map<uint32_t, uint64_t> store_epochs_ RSSE_GUARDED_BY(update_mutex_);
   /// Per-slot durable snapshot generation (raw persist SnapshotFormat).
   std::map<uint32_t, uint8_t> store_formats_ RSSE_GUARDED_BY(store_mutex_);
   /// EMM slots updated since their last snapshot (WAL deltas pending a
   /// fold); tracked in mmap mode.
-  std::set<uint32_t> dirty_stores_ RSSE_GUARDED_BY(store_mutex_);
+  std::set<uint32_t> dirty_stores_ RSSE_GUARDED_BY(update_mutex_);
   /// Store table, keyed by store slot.
   std::map<uint32_t, HostedStore> stores_ RSSE_GUARDED_BY(store_mutex_);
   bool hosted_ RSSE_GUARDED_BY(store_mutex_) = false;

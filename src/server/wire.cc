@@ -284,6 +284,23 @@ Result<SetupStoreRequest> SetupStoreRequest::Decode(const Bytes& payload) {
   return req;
 }
 
+SetupStoreFrame::SetupStoreFrame(uint32_t store_id, uint8_t kind,
+                                 ConstByteSpan index_blob,
+                                 ConstByteSpan gate_blob)
+    : index_blob_(index_blob), gate_blob_(gate_blob) {
+  for (int i = 0; i < 4; ++i) {
+    head_[i] = static_cast<uint8_t>(store_id >> (24 - 8 * i));  // big-endian
+  }
+  head_[4] = kind;
+  StoreUint64(head_ + 5, index_blob.size());
+  StoreUint64(gate_len_, gate_blob.size());
+}
+
+std::array<ConstByteSpan, 4> SetupStoreFrame::Spans() const {
+  return {ConstByteSpan(head_, sizeof(head_)), index_blob_,
+          ConstByteSpan(gate_len_, sizeof(gate_len_)), gate_blob_};
+}
+
 Bytes SearchKeywordRequest::Encode() const {
   Bytes out;
   AppendUint32(out, store_id);

@@ -1,6 +1,7 @@
 #ifndef RSSE_SERVER_WIRE_H_
 #define RSSE_SERVER_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -181,6 +182,26 @@ struct SetupStoreRequest {
 
   Bytes Encode() const;
   static Result<SetupStoreRequest> Decode(const Bytes& payload);
+};
+
+/// A SetupStore payload as a scatter list over the caller's blobs: the
+/// concatenation of `Spans()` is byte-identical to
+/// `SetupStoreRequest::Encode()` on the same fields, but neither blob is
+/// copied (an index blob can be hundreds of megabytes). The blobs must
+/// outlive the frame.
+class SetupStoreFrame {
+ public:
+  SetupStoreFrame(uint32_t store_id, uint8_t kind, ConstByteSpan index_blob,
+                  ConstByteSpan gate_blob);
+
+  /// Header (store id, kind, index length) | index | gate length | gate.
+  std::array<ConstByteSpan, 4> Spans() const;
+
+ private:
+  uint8_t head_[4 + 1 + 8];
+  uint8_t gate_len_[8];
+  ConstByteSpan index_blob_;
+  ConstByteSpan gate_blob_;
 };
 
 /// One keyword/trapdoor token as shipped to the server. kind 0 is a

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "common/status.h"
 #include "crypto/aes.h"
 #include "crypto/hmac_prf.h"
+#include "crypto/sha512_x4.h"
 #include "sse/keyword_keys.h"
 
 namespace rsse::sse {
@@ -196,75 +198,91 @@ Status EncryptKeywordEntries(const Bytes& keyword,
   return Status::Ok();
 }
 
-/// The counter-probe search loop shared by every storage layout: derives
-/// labels F(K1, c) for c = 0, 1, ... in fused chunks and looks each up
-/// through `find` (`std::optional<ConstByteSpan> find(const Label&)`),
-/// stopping at the first miss. Hits are gathered and decrypted in batches
-/// (all counters of one keyword share the value key, so one ECB pass per
-/// batch replaces a per-probe EVP round). Real payloads are appended to
-/// `results`; dummies are dropped; a failed decryption (wrong token) ends
-/// the search as in the entry-at-a-time loop. With a `gate`, entries the
-/// gate rejects skip decryption.
-template <typename FindFn>
-void SearchEntries(const KeywordKeys& token, FindFn&& find,
-                   std::vector<Bytes>& results,
-                   const LabelGate* gate = nullptr,
-                   SearchStats* stats = nullptr) {
-  const crypto::Prf label_prf(token.label_key);
-  if (!label_prf.ok()) return;
-  // 8 labels per fused derivation (two x4 lanes / one x8); up to 32
-  // gathered ciphertexts per batch decryption.
-  constexpr size_t kLabelChunk = 8;
-  constexpr size_t kDecryptBatch = 32;
-  Label labels[kLabelChunk];
+/// Grow-only buffers of the counter-probe loop: gathered ciphertexts and
+/// their batch plaintexts. One per search worker, recycled across chains,
+/// so a steady-state search allocates nothing per probe or per hit.
+struct SearchScratch {
   Bytes cts;                      // gathered ciphertexts, packed
   std::vector<uint32_t> ct_lens;  // per-gathered-entry ciphertext sizes
   Bytes plains;                   // batch plaintexts (padded spacing)
   std::vector<uint32_t> plain_lens;
+};
 
-  // Decrypts the gathered batch and appends its real payloads; false on a
+/// The calling thread's `SearchScratch` (for searches without their own).
+SearchScratch& ThreadSearchScratch();
+
+/// The counter-probe search loop shared by every storage layout and by the
+/// leaf resolver: probes labels F(K1, c) for c = 0, 1, ... through `find`
+/// (`std::optional<ConstByteSpan> find(const Label&)`), stopping at the
+/// first miss. The first `prefix.size()` labels are taken from `prefix`
+/// (the leaf resolver derives label 0 for many leaves at once); the rest
+/// are derived here from `label_key`'s midstates — one label right after a
+/// prefix (a one-entry chain needs exactly one more probe), 8 per fused
+/// multi-lane pass otherwise. Hits are gathered and decrypted in batches
+/// of up to 32 under `value_key` (one key schedule per batch). Each real
+/// payload is handed to `emit(ConstByteSpan)` in counter order (the span
+/// lives until `emit` returns); dummies are dropped; a failed decryption
+/// (wrong token) ends the search. With a `gate`, entries the gate rejects
+/// skip decryption.
+template <typename FindFn, typename EmitFn>
+void SearchChain(const crypto::HmacSha512Midstates& label_key,
+                 ConstByteSpan value_key, std::span<const Label> prefix,
+                 FindFn&& find, EmitFn&& emit, SearchScratch& scratch,
+                 const LabelGate* gate = nullptr,
+                 SearchStats* stats = nullptr) {
+  constexpr size_t kLabelChunk = 8;
+  constexpr size_t kDecryptBatch = 32;
+  scratch.cts.clear();
+  scratch.ct_lens.clear();
+
+  // Decrypts the gathered batch and emits its real payloads; false on a
   // failed decryption (wrong token — the caller stops probing).
   auto flush = [&]() {
+    std::vector<uint32_t>& ct_lens = scratch.ct_lens;
     if (ct_lens.empty()) return true;
     if (stats != nullptr) stats->decrypts += ct_lens.size();
-    plains.resize(cts.size() - ct_lens.size() * crypto::Aes128Cbc::kBlockBytes);
-    plain_lens.resize(ct_lens.size());
-    if (!crypto::Aes128Cbc::DecryptManyInto(token.value_key, cts, ct_lens,
-                                            plains, plain_lens)
+    scratch.plains.resize(scratch.cts.size() -
+                          ct_lens.size() * crypto::Aes128Cbc::kBlockBytes);
+    scratch.plain_lens.resize(ct_lens.size());
+    if (!crypto::Aes128Cbc::DecryptManyInto(value_key, scratch.cts, ct_lens,
+                                            scratch.plains,
+                                            scratch.plain_lens)
              .ok()) {
       return false;
     }
     size_t offset = 0;
     for (size_t i = 0; i < ct_lens.size(); ++i) {
-      const uint32_t len = plain_lens[i];
+      const uint32_t len = scratch.plain_lens[i];
       if (len == crypto::Aes128Cbc::kBadEntry || len == 0) return false;
-      if (plains[offset] != kEmmDummyMarker) {
-        results.emplace_back(
-            plains.begin() + static_cast<long>(offset + 1),
-            plains.begin() + static_cast<long>(offset + len));
+      if (scratch.plains[offset] != kEmmDummyMarker) {
+        emit(ConstByteSpan(scratch.plains.data() + offset + 1, len - 1));
       }
       offset += ct_lens[i] - crypto::Aes128Cbc::kBlockBytes;
     }
-    cts.clear();
+    scratch.cts.clear();
     ct_lens.clear();
     return true;
   };
 
-  for (uint64_t base = 0;; base += kLabelChunk) {
-    if (!label_prf.EvalCountersInto(
-            base, kLabelChunk, ByteSpan(labels[0].data(), sizeof(labels)),
-            kLabelBytes)) {
-      break;
+  Label derived[kLabelChunk];
+  std::span<const Label> labels = prefix;
+  uint64_t next = prefix.size();
+  for (;;) {
+    if (labels.empty()) {
+      const size_t chunk = next == prefix.size() && next > 0 ? 1 : kLabelChunk;
+      crypto::HmacSha512Counters(label_key, next, chunk, derived[0].data(),
+                                 kLabelBytes, kLabelBytes);
+      labels = std::span<const Label>(derived, chunk);
+      next += chunk;
     }
-    bool miss = false;
-    for (size_t j = 0; j < kLabelChunk; ++j) {
+    for (const Label& label : labels) {
       if (stats != nullptr) ++stats->probes;
-      std::optional<ConstByteSpan> ct = find(labels[j]);
+      std::optional<ConstByteSpan> ct = find(label);
       if (!ct.has_value()) {
-        miss = true;
-        break;
+        flush();
+        return;
       }
-      if (gate != nullptr && !gate->MayContainReal(labels[j])) {
+      if (gate != nullptr && !gate->MayContainReal(label)) {
         // The gate has no false negatives, so this entry is a padding
         // dummy; skip the decryption it would have cost.
         if (stats != nullptr) ++stats->skipped_decrypts;
@@ -278,13 +296,31 @@ void SearchEntries(const KeywordKeys& token, FindFn&& find,
         flush();
         return;
       }
-      cts.insert(cts.end(), ct->begin(), ct->end());
-      ct_lens.push_back(static_cast<uint32_t>(ct->size()));
-      if (ct_lens.size() >= kDecryptBatch && !flush()) return;
+      scratch.cts.insert(scratch.cts.end(), ct->begin(), ct->end());
+      scratch.ct_lens.push_back(static_cast<uint32_t>(ct->size()));
+      if (scratch.ct_lens.size() >= kDecryptBatch && !flush()) return;
     }
-    if (miss) break;
+    labels = {};
   }
-  flush();
+}
+
+/// Keyword-token search: `SearchChain` from counter 0 under the token's
+/// keys, appending each real payload to `results`.
+template <typename FindFn>
+void SearchEntries(const KeywordKeys& token, FindFn&& find,
+                   std::vector<Bytes>& results,
+                   const LabelGate* gate = nullptr,
+                   SearchStats* stats = nullptr) {
+  const crypto::HmacSha512Midstates label_key =
+      crypto::HmacSha512KeyMidstates(token.label_key.data(),
+                                     token.label_key.size());
+  SearchChain(
+      label_key, ConstByteSpan(token.value_key.data(), token.value_key.size()),
+      {}, find,
+      [&results](ConstByteSpan payload) {
+        results.emplace_back(payload.begin(), payload.end());
+      },
+      ThreadSearchScratch(), gate, stats);
 }
 
 }  // namespace rsse::sse

@@ -196,9 +196,11 @@ Bytes EncodeIdPayload(uint64_t id) {
   return out;
 }
 
-std::optional<uint64_t> DecodeIdPayload(const Bytes& payload) {
+std::optional<uint64_t> DecodeIdPayload(ConstByteSpan payload) {
   if (payload.size() != 8) return std::nullopt;
-  return ReadUint64(payload, 0);
+  uint64_t id = 0;
+  for (const uint8_t b : payload) id = (id << 8) | b;  // big-endian
+  return id;
 }
 
 }  // namespace rsse::sse

@@ -111,7 +111,7 @@ class EncryptedMultimap {
 
 /// Encodes/decodes a uint64 document id as a payload (the common case).
 Bytes EncodeIdPayload(uint64_t id);
-std::optional<uint64_t> DecodeIdPayload(const Bytes& payload);
+std::optional<uint64_t> DecodeIdPayload(ConstByteSpan payload);
 
 }  // namespace rsse::sse
 

@@ -1,44 +1,54 @@
 #include "sse/keyword_keys.h"
 
+#include <cstring>
+#include <utility>
+
 #include "crypto/sha.h"
 
 namespace rsse::sse {
 
-void KeysFromSharedSecretInto(ConstByteSpan secret, KeywordKeys& out) {
+bool KeysFromLambdaSecretInto(const uint8_t* secret, uint8_t* label_key,
+                              uint8_t* value_key) {
   // Domain-separated KDF over a stack buffer: secret || 0x01 -> K1,
-  // secret || 0x02 -> K2. Secrets are λ-byte PRF/DPRF outputs, so the
-  // fixed-size buffer below always fits (guarded for exotic callers).
-  uint8_t input[64 + 1];
+  // secret || 0x02 -> K2, each the leading λ bytes of a SHA-256 digest.
+  uint8_t input[crypto::kLambdaBytes + 1];
   uint8_t digest[32];
-  if (secret.size() > 64) {
-    // Fall back to the allocating path for oversized secrets.
-    Bytes in1(secret.begin(), secret.end());
-    AppendByte(in1, 0x01);
-    Bytes in2(secret.begin(), secret.end());
-    AppendByte(in2, 0x02);
-    Bytes k1 = crypto::Sha256(in1);
-    Bytes k2 = crypto::Sha256(in2);
-    k1.resize(crypto::kLambdaBytes);
-    k2.resize(crypto::kLambdaBytes);
-    out.label_key = std::move(k1);
-    out.value_key = std::move(k2);
+  std::memcpy(input, secret, crypto::kLambdaBytes);
+  for (const auto& [tag, out] : {std::pair{uint8_t{0x01}, label_key},
+                                 std::pair{uint8_t{0x02}, value_key}}) {
+    input[crypto::kLambdaBytes] = tag;
+    if (!crypto::Sha256Into(ConstByteSpan(input, sizeof(input)), digest)) {
+      return false;
+    }
+    std::memcpy(out, digest, crypto::kLambdaBytes);
+  }
+  return true;
+}
+
+void KeysFromSharedSecretInto(ConstByteSpan secret, KeywordKeys& out) {
+  if (secret.size() == crypto::kLambdaBytes) {
+    uint8_t k1[crypto::kLambdaBytes];
+    uint8_t k2[crypto::kLambdaBytes];
+    if (!KeysFromLambdaSecretInto(secret.data(), k1, k2)) {
+      out.label_key.clear();
+      out.value_key.clear();
+      return;
+    }
+    out.label_key.assign(k1, k1 + sizeof(k1));
+    out.value_key.assign(k2, k2 + sizeof(k2));
     return;
   }
-  std::memcpy(input, secret.data(), secret.size());
-  input[secret.size()] = 0x01;
-  if (!crypto::Sha256Into(ConstByteSpan(input, secret.size() + 1), digest)) {
-    out.label_key.clear();
-    out.value_key.clear();
-    return;
-  }
-  out.label_key.assign(digest, digest + crypto::kLambdaBytes);
-  input[secret.size()] = 0x02;
-  if (!crypto::Sha256Into(ConstByteSpan(input, secret.size() + 1), digest)) {
-    out.label_key.clear();
-    out.value_key.clear();
-    return;
-  }
-  out.value_key.assign(digest, digest + crypto::kLambdaBytes);
+  // Other secret lengths (exotic callers): the same KDF, allocating.
+  Bytes in1(secret.begin(), secret.end());
+  AppendByte(in1, 0x01);
+  Bytes in2(secret.begin(), secret.end());
+  AppendByte(in2, 0x02);
+  Bytes k1 = crypto::Sha256(in1);
+  Bytes k2 = crypto::Sha256(in2);
+  k1.resize(crypto::kLambdaBytes);
+  k2.resize(crypto::kLambdaBytes);
+  out.label_key = std::move(k1);
+  out.value_key = std::move(k2);
 }
 
 KeywordKeys KeysFromSharedSecret(const Bytes& secret) {

@@ -31,6 +31,12 @@ KeywordKeys KeysFromSharedSecret(const Bytes& secret);
 /// on the first call.
 void KeysFromSharedSecretInto(ConstByteSpan secret, KeywordKeys& out);
 
+/// The same KDF for a λ-byte secret (a GGM leaf value) into fixed-size
+/// key buffers (λ bytes each): the allocation-free form the leaf resolver
+/// runs per leaf. False on a hash failure (no key bytes are valid then).
+bool KeysFromLambdaSecretInto(const uint8_t* secret, uint8_t* label_key,
+                              uint8_t* value_key);
+
 /// Strategy for mapping keywords to key pairs at index-build and trapdoor
 /// time. The default PRF deriver implements standard SSE; the Constant
 /// schemes substitute a DPRF-backed deriver.

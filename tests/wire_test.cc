@@ -319,6 +319,38 @@ TEST(WirePayloadTest, SetupStoreRoundTripAndCorruption) {
   EXPECT_FALSE(SetupStoreRequest::Decode(trailing).ok());
 }
 
+TEST(WirePayloadTest, SetupStoreFrameStreamsTheEncodedBytes) {
+  // The client streams SetupStore as a scatter list over the caller's
+  // blobs; the bytes on the wire must be exactly what Encode() would have
+  // copied out, for every field shape (gate or none, empty index, a store
+  // id whose every byte differs).
+  for (const bool with_gate : {true, false}) {
+    for (const size_t index_len : {size_t{0}, size_t{1}, size_t{4099}}) {
+      SetupStoreRequest req;
+      req.store_id = 0x01020304;
+      req.kind = 1;
+      req.index_blob = Bytes(index_len);
+      for (size_t i = 0; i < index_len; ++i) {
+        req.index_blob[i] = static_cast<uint8_t>(i * 7);
+      }
+      if (with_gate) req.gate_blob = Bytes(300, 0x5A);
+      const SetupStoreFrame frame(
+          req.store_id, req.kind,
+          ConstByteSpan(req.index_blob.data(), req.index_blob.size()),
+          ConstByteSpan(req.gate_blob.data(), req.gate_blob.size()));
+      Bytes streamed;
+      for (ConstByteSpan part : frame.Spans()) {
+        streamed.insert(streamed.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(streamed, req.Encode())
+          << "gate " << with_gate << " index " << index_len;
+      // The blob parts alias the caller's buffers: nothing was copied.
+      EXPECT_EQ(frame.Spans()[1].data(), req.index_blob.data());
+      EXPECT_EQ(frame.Spans()[3].data(), req.gate_blob.data());
+    }
+  }
+}
+
 TEST(WirePayloadTest, SearchKeywordRoundTripAndCorruption) {
   SearchKeywordRequest req;
   req.store_id = 1;
