@@ -19,7 +19,6 @@
 #include "rsse/local_backend.h"
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
-#include "sse/packed_multimap.h"
 
 namespace rsse {
 namespace {
@@ -214,6 +213,15 @@ void BM_DprfExpandSubtreeAes(benchmark::State& state) {
 }
 BENCHMARK(BM_DprfExpandSubtreeAes)->Arg(4)->Arg(8)->Arg(12);
 
+/// The paper's flat Π_bas dictionary: one shard built by one thread, the
+/// in-place build and search path of `ShardedEmm`.
+shard::ShardOptions FlatStore() {
+  shard::ShardOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  return options;
+}
+
 void BM_EmmBuild(benchmark::State& state) {
   sse::PlainMultimap postings;
   const int64_t keywords = state.range(0);
@@ -228,7 +236,8 @@ void BM_EmmBuild(benchmark::State& state) {
   }
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sse::EncryptedMultimap::Build(postings, deriver));
+    benchmark::DoNotOptimize(
+        shard::ShardedEmm::Build(postings, deriver, FlatStore()));
   }
   state.SetItemsProcessed(state.iterations() * keywords * per_keyword);
 }
@@ -320,7 +329,7 @@ void BM_EmmSearch(benchmark::State& state) {
     postings[ToBytes("w")].push_back(sse::EncodeIdPayload(i));
   }
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto emm = sse::EncryptedMultimap::Build(postings, deriver);
+  auto emm = shard::ShardedEmm::Build(postings, deriver, FlatStore());
   sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
   for (auto _ : state) benchmark::DoNotOptimize(emm->Search(token));
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -401,22 +410,6 @@ void BM_ServeLeaves(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (int64_t{1} << level));
 }
 BENCHMARK(BM_ServeLeaves)->Arg(4)->Arg(8)->Arg(12);
-
-void BM_PackedSearch(benchmark::State& state) {
-  // Ablation: the paper's space-efficient packed SSE backend (TSet-style,
-  // S/K parameters) vs the flat dictionary of BM_EmmSearch.
-  std::vector<std::pair<Bytes, std::vector<uint64_t>>> postings(1);
-  postings[0].first = ToBytes("w");
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    postings[0].second.push_back(static_cast<uint64_t>(i));
-  }
-  sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto packed = sse::PackedMultimap::Build(postings, deriver);
-  sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
-  for (auto _ : state) benchmark::DoNotOptimize(packed->Search(token));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PackedSearch)->Arg(10)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace rsse

@@ -16,6 +16,7 @@
 #include "common/stats.h"
 #include "crypto/random.h"
 #include "data/workload.h"
+#include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 
 namespace rsse::bench {
@@ -41,7 +42,10 @@ double MeasureSsePerResultNanos() {
     postings[ToBytes("floor")].push_back(sse::EncodeIdPayload(i));
   }
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
-  auto emm = sse::EncryptedMultimap::Build(postings, deriver);
+  shard::ShardOptions flat;  // the paper's flat dictionary
+  flat.shards = 1;
+  flat.threads = 1;
+  auto emm = shard::ShardedEmm::Build(postings, deriver, flat);
   WallTimer timer;
   size_t got = emm->Search(deriver.Derive(ToBytes("floor"))).size();
   return static_cast<double>(timer.ElapsedNanos()) /

@@ -80,13 +80,11 @@ Result<ServerSetup> SingleEmmServerSetup(bool built,
                                          const shard::ShardedEmm& emm,
                                          const BloomLabelGate* gate = nullptr);
 
-/// Loads a servable encrypted-dictionary blob, accepting either
-/// serialization generation: the v1 framed blob (re-shardable on load via
-/// `target_shards`) or a v2 mmap-native store image (heap-loaded with the
-/// per-section checksum pass; v2 images keep their stored shard layout).
-/// The shared load path of the server's Setup handlers, recovery, and
-/// local tools — so every path that accepts an index accepts both
-/// generations identically.
+/// Loads a shipped encrypted-dictionary blob: the v1 `ShardedEmm::Serialize`
+/// form that `ExportServerSetup` produces, re-sharded on load via
+/// `target_shards`. This is the same `ShardedEmm::Deserialize` call the
+/// server's Setup handlers make, so a v2 store image is refused with
+/// INVALID_ARGUMENT here as it is on the wire.
 Result<shard::ShardedEmm> LoadServableIndex(
     const Bytes& blob, int threads = 0,
     int target_shards = shard::ShardedEmm::kKeepStoredShards);

@@ -110,52 +110,6 @@ EmmServer::~EmmServer() {
   if (wake_fds_[1] >= 0) close(wake_fds_[1]);
 }
 
-Status EmmServer::Host(const Bytes& index_blob) {
-  // Resolve the worker count here so the documented RSSE_SEARCH_THREADS
-  // fallback governs the load too (Deserialize's own 0-fallback is the
-  // builder-side RSSE_BUILD_THREADS).
-  const int threads =
-      ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
-  Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
-      index_blob, threads, options_.load_shards);
-  if (!store.ok()) return store.status();
-  MutexLock serial(update_mutex_);
-  // Persist before apply: if the snapshot cannot be made durable the
-  // in-memory table keeps its previous (still-recoverable) contents. Only
-  // the writer lock is held across the snapshot IO.
-  uint8_t format = 0;
-  if (persist_ != nullptr) {
-    const uint64_t epoch = store_epochs_[rsse::kPrimaryStore] + 1;
-    const uint8_t kind = static_cast<uint8_t>(rsse::StoreKind::kEmm);
-    if (mmap_on_) {
-      // The snapshot file IS the runtime layout: serialize the store as
-      // deserialized (after any load_shards re-sharding), so the next
-      // boot maps the exact in-memory structure back.
-      const Bytes image = store->SerializeV2(kind, epoch);
-      RSSE_RETURN_IF_ERROR(persist_->PersistSnapshot(
-          rsse::kPrimaryStore, epoch, kind,
-          ConstByteSpan(image.data(), image.size()), {},
-          SnapshotFormat::kV2));
-    } else {
-      RSSE_RETURN_IF_ERROR(persist_->PersistSnapshot(
-          rsse::kPrimaryStore, epoch, kind,
-          ConstByteSpan(index_blob.data(), index_blob.size()), {}));
-    }
-    store_epochs_[rsse::kPrimaryStore] = epoch;
-    dirty_stores_.erase(rsse::kPrimaryStore);
-    format = mmap_on_ ? 2 : 1;
-  }
-  WriterMutexLock lock(store_mutex_);
-  if (format != 0) store_formats_[rsse::kPrimaryStore] = format;
-  HostedStore& primary = stores_[rsse::kPrimaryStore];
-  primary.kind = rsse::StoreKind::kEmm;
-  primary.emm = std::move(store).value();
-  primary.gate.reset();
-  primary.tree.reset();
-  hosted_ = true;
-  return Status::Ok();
-}
-
 size_t EmmServer::EntryCount() const {
   ReaderMutexLock lock(store_mutex_);
   auto it = stores_.find(rsse::kPrimaryStore);
@@ -949,20 +903,11 @@ void EmmServer::RunSetup(Connection& conn, const Bytes& payload) {
     EmitError(conn, req.status().message());
     return;
   }
-  Status hosted = Host(req->index_blob);
-  if (!hosted.ok()) {
-    EmitError(conn, hosted.message());
-    return;
-  }
-  SetupResponse resp;
-  {
-    ReaderMutexLock lock(store_mutex_);
-    const HostedStore& primary = stores_.at(rsse::kPrimaryStore);
-    resp.shards = static_cast<uint32_t>(primary.emm.shard_count());
-    resp.entries = primary.emm.EntryCount();
-  }
-  EmitFrame(conn, FrameType::kSetupResp, resp.Encode(),
-            "setup response exceeds frame limit");
+  // The legacy single-store frame: an ungated encrypted dictionary at the
+  // primary slot.
+  InstallStore(conn, rsse::kPrimaryStore,
+               static_cast<uint8_t>(rsse::StoreKind::kEmm), req->index_blob,
+               Bytes{});
 }
 
 void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
@@ -971,28 +916,38 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
     EmitError(conn, req.status().message());
     return;
   }
+  InstallStore(conn, req->store_id, req->kind, req->index_blob,
+               req->gate_blob);
+}
+
+void EmmServer::InstallStore(Connection& conn, uint32_t store_id,
+                             uint8_t kind, const Bytes& index_blob,
+                             const Bytes& gate_blob) {
   // Slot ids are capped so a hostile client cannot grow the store table
   // without bound by cycling distinct ids.
-  if (req->store_id > options_.max_store_id) {
+  if (store_id > options_.max_store_id) {
     EmitError(conn, "store id exceeds the server's slot limit");
     return;
   }
   HostedStore incoming;
-  incoming.kind = static_cast<rsse::StoreKind>(req->kind);
+  incoming.kind = static_cast<rsse::StoreKind>(kind);
   SetupResponse resp;
-  if (req->kind == static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
+  if (kind == static_cast<uint8_t>(rsse::StoreKind::kEmm)) {
+    // The documented RSSE_SEARCH_THREADS fallback governs the load too
+    // (Deserialize's own 0-fallback is the builder-side
+    // RSSE_BUILD_THREADS).
     const int threads =
         ResolveThreadCount(options_.search_threads, "RSSE_SEARCH_THREADS");
     Result<shard::ShardedEmm> store = shard::ShardedEmm::Deserialize(
-        req->index_blob, threads, options_.load_shards);
+        index_blob, threads, options_.load_shards);
     if (!store.ok()) {
       EmitError(conn, store.status().message());
       return;
     }
     incoming.emm = std::move(store).value();
-    if (!req->gate_blob.empty()) {
+    if (!gate_blob.empty()) {
       Result<rsse::BloomLabelGate> gate =
-          rsse::BloomLabelGate::Deserialize(req->gate_blob);
+          rsse::BloomLabelGate::Deserialize(gate_blob);
       if (!gate.ok()) {
         EmitError(conn, gate.status().message());
         return;
@@ -1002,14 +957,14 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
     }
     resp.shards = static_cast<uint32_t>(incoming.emm.shard_count());
     resp.entries = incoming.emm.EntryCount();
-  } else if (req->kind ==
+  } else if (kind ==
              static_cast<uint8_t>(rsse::StoreKind::kFilterTree)) {
-    if (!req->gate_blob.empty()) {
+    if (!gate_blob.empty()) {
       EmitError(conn, "filter-tree stores take no bloom gate");
       return;
     }
     Result<pb::FilterTreeIndex> tree =
-        pb::FilterTreeIndex::Deserialize(req->index_blob);
+        pb::FilterTreeIndex::Deserialize(index_blob);
     if (!tree.ok()) {
       EmitError(conn, tree.status().message());
       return;
@@ -1029,37 +984,37 @@ void EmmServer::RunSetupStore(Connection& conn, const Bytes& payload) {
     // the writer lock is held across the snapshot IO.
     uint8_t format = 0;
     if (persist_ != nullptr) {
-      const uint64_t epoch = store_epochs_[req->store_id] + 1;
+      const uint64_t epoch = store_epochs_[store_id] + 1;
       const bool as_v2 =
-          mmap_on_ && req->kind == static_cast<uint8_t>(rsse::StoreKind::kEmm);
+          mmap_on_ && kind == static_cast<uint8_t>(rsse::StoreKind::kEmm);
       Status persisted;
       if (as_v2) {
         // Snapshot the runtime layout, not the wire blob: the next boot
         // maps exactly what this process would serve. Filter trees keep
         // the v1 container (they have no mmap-native image).
-        const Bytes image = incoming.emm.SerializeV2(req->kind, epoch);
+        const Bytes image = incoming.emm.SerializeV2(kind, epoch);
         persisted = persist_->PersistSnapshot(
-            req->store_id, epoch, req->kind,
+            store_id, epoch, kind,
             ConstByteSpan(image.data(), image.size()),
-            ConstByteSpan(req->gate_blob.data(), req->gate_blob.size()),
+            ConstByteSpan(gate_blob.data(), gate_blob.size()),
             SnapshotFormat::kV2);
       } else {
         persisted = persist_->PersistSnapshot(
-            req->store_id, epoch, req->kind,
-            ConstByteSpan(req->index_blob.data(), req->index_blob.size()),
-            ConstByteSpan(req->gate_blob.data(), req->gate_blob.size()));
+            store_id, epoch, kind,
+            ConstByteSpan(index_blob.data(), index_blob.size()),
+            ConstByteSpan(gate_blob.data(), gate_blob.size()));
       }
       if (!persisted.ok()) {
         EmitError(conn, "store not persisted: " + persisted.message());
         return;
       }
-      store_epochs_[req->store_id] = epoch;
-      dirty_stores_.erase(req->store_id);
+      store_epochs_[store_id] = epoch;
+      dirty_stores_.erase(store_id);
       format = as_v2 ? 2 : 1;
     }
     WriterMutexLock lock(store_mutex_);
-    if (format != 0) store_formats_[req->store_id] = format;
-    stores_[req->store_id] = std::move(incoming);
+    if (format != 0) store_formats_[store_id] = format;
+    stores_[store_id] = std::move(incoming);
     hosted_ = true;
   }
   EmitFrame(conn, FrameType::kSetupResp, resp.Encode(),

@@ -194,10 +194,6 @@ class EmmServer {
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  /// In-process equivalent of a Setup frame (tools/tests): hosts the
-  /// serialized ShardedEmm blob at the primary store slot.
-  Status Host(const Bytes& index_blob);
-
   const ServerStats& stats() const { return stats_; }
   size_t EntryCount() const;
 
@@ -354,6 +350,11 @@ class EmmServer {
   JobResult ResumeStream(Connection& conn, Job& job);
   void RunSetup(Connection& conn, const Bytes& payload);
   void RunSetupStore(Connection& conn, const Bytes& payload);
+  /// The one install path behind both Setup frames: loads `index_blob`
+  /// (plus an optional Bloom `gate_blob`) as a `kind` store, persists it,
+  /// then swaps it into slot `store_id` and answers with kSetupResp.
+  void InstallStore(Connection& conn, uint32_t store_id, uint8_t kind,
+                    const Bytes& index_blob, const Bytes& gate_blob);
   void RunUpdate(Connection& conn, const Bytes& payload);
   void RunStats(Connection& conn);
 

@@ -54,9 +54,9 @@ Result<ShardedEmm> ShardedEmm::Build(const sse::PlainMultimap& postings,
   ShardedEmm store(shard_count);
 
   if (shard_count == 1 && threads == 1) {
-    // Degenerate single-shard single-thread build: exact-size reserve and
-    // in-place encryption into the one table arena, exactly as the flat
-    // EncryptedMultimap hot path (same shared cost model).
+    // Single-shard single-thread build (the paper's flat dictionary):
+    // exact-size reserve from the shared cost model and in-place
+    // encryption into the one table arena.
     const sse::EmmSizing sizing =
         sse::ComputeEmmSizing(postings, options.padding.quantum);
     sse::FlatLabelMap& dict = store.shards_[0];

@@ -49,10 +49,10 @@ struct V2OpenOptions {
 /// hash uses bytes [0, 8) — the two are independent, so per-shard tables
 /// stay uniformly loaded even conditioned on the shard choice.
 ///
-/// Entries are byte-identical to `EncryptedMultimap` entries (the shared
-/// codec in sse/emm_codec.h), and `Serialize` is a per-shard framing of the
-/// same label/ciphertext pairs: the sharded store is a drop-in server-side
-/// layout, not a new scheme. Build avoids the classic single-merge funnel:
+/// Entries use the shared codec in sse/emm_codec.h, and `Serialize` is a
+/// per-shard framing of the same label/ciphertext pairs: with one shard this
+/// is the paper's flat dictionary, and more shards are a server-side layout,
+/// not a new scheme. Build avoids the classic single-merge funnel:
 /// workers encrypt keywords into per-(worker, shard) staging buckets, then
 /// shards are merged *in parallel* — each shard reserves its exact final
 /// size and copies only the buckets routed to it.
@@ -64,7 +64,10 @@ class ShardedEmm {
   /// the server-side Update path populates one of these via `Insert`.
   static ShardedEmm WithShards(int shards);
 
-  /// Builds the sharded encrypted dictionary over `postings`.
+  /// Builds the sharded encrypted dictionary over `postings`. Posting order
+  /// within each keyword is preserved; padding dummies (per
+  /// `options.padding`) decrypt to a reserved marker and `Search` drops
+  /// them. Any shard or thread count answers every search identically.
   static Result<ShardedEmm> Build(const sse::PlainMultimap& postings,
                                   const sse::KeywordKeyDeriver& deriver,
                                   const ShardOptions& options = {});
@@ -72,7 +75,10 @@ class ShardedEmm {
   /// Counter-probe search for one keyword token, routed across shards.
   std::vector<Bytes> Search(const sse::KeywordKeys& token) const;
 
-  /// Instrumented/gated search (see EncryptedMultimap::Search overload).
+  /// Instrumented search: a non-null `gate` is consulted per entry before
+  /// decryption (entries it rejects are skipped as padding dummies); a
+  /// non-null `stats` receives probe/decrypt/skip counts. An unknown
+  /// keyword yields an empty result, like an empty posting list.
   std::vector<Bytes> Search(const sse::KeywordKeys& token,
                             const sse::LabelGate* gate,
                             sse::SearchStats* stats) const;

@@ -1,253 +1,16 @@
-#include "sse/encrypted_multimap.h"
+// Plaintext-side helpers of the encrypted dictionary: the id payload
+// codec and the exact sizing model every store build reserves from. The
+// store itself is covered by sharded_emm_test.
 
-#include <algorithm>
+#include "sse/encrypted_multimap.h"
 
 #include <gtest/gtest.h>
 
 #include "crypto/random.h"
+#include "sse/emm_codec.h"
 
 namespace rsse::sse {
 namespace {
-
-PlainMultimap SamplePostings() {
-  PlainMultimap postings;
-  postings[ToBytes("apple")] = {EncodeIdPayload(1), EncodeIdPayload(2),
-                                EncodeIdPayload(3)};
-  postings[ToBytes("banana")] = {EncodeIdPayload(10)};
-  postings[ToBytes("empty")] = {};
-  return postings;
-}
-
-TEST(EncryptedMultimapTest, SearchReturnsExactPostings) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  std::vector<Bytes> apple = built->Search(deriver.Derive(ToBytes("apple")));
-  ASSERT_EQ(apple.size(), 3u);
-  std::vector<uint64_t> ids;
-  for (const Bytes& p : apple) ids.push_back(*DecodeIdPayload(p));
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3}));
-}
-
-TEST(EncryptedMultimapTest, PostingOrderPreserved) {
-  PlainMultimap postings;
-  postings[ToBytes("w")] = {EncodeIdPayload(7), EncodeIdPayload(5),
-                            EncodeIdPayload(9)};
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built = EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(built.ok());
-  std::vector<Bytes> res = built->Search(deriver.Derive(ToBytes("w")));
-  ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(*DecodeIdPayload(res[0]), 7u);
-  EXPECT_EQ(*DecodeIdPayload(res[1]), 5u);
-  EXPECT_EQ(*DecodeIdPayload(res[2]), 9u);
-}
-
-TEST(EncryptedMultimapTest, UnknownKeywordReturnsEmpty) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(built->Search(deriver.Derive(ToBytes("missing"))).empty());
-}
-
-TEST(EncryptedMultimapTest, WrongKeyDeriverFindsNothing) {
-  // Forward-privacy mechanism of Section 7: an index under a fresh key is
-  // unreadable with trapdoors from another key.
-  PrfKeyDeriver build_deriver(crypto::GenerateKey());
-  PrfKeyDeriver other_deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), build_deriver);
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(built->Search(other_deriver.Derive(ToBytes("apple"))).empty());
-}
-
-TEST(EncryptedMultimapTest, EmptyPostingListLookupEmpty) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(built->Search(deriver.Derive(ToBytes("empty"))).empty());
-}
-
-TEST(EncryptedMultimapTest, EntryCountMatchesPostings) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  EXPECT_EQ(built->EntryCount(), 4u);
-  EXPECT_GT(built->SizeBytes(), 4 * 16u);
-}
-
-TEST(EncryptedMultimapTest, PaddingRoundsUpListsAndHidesCounts) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  PaddingPolicy padding{4};
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver, padding);
-  ASSERT_TRUE(built.ok());
-  // apple(3) -> 4, banana(1) -> 4, empty(0) -> 4.
-  EXPECT_EQ(built->EntryCount(), 12u);
-  // Search drops dummies.
-  EXPECT_EQ(built->Search(deriver.Derive(ToBytes("apple"))).size(), 3u);
-  EXPECT_EQ(built->Search(deriver.Derive(ToBytes("banana"))).size(), 1u);
-  EXPECT_TRUE(built->Search(deriver.Derive(ToBytes("empty"))).empty());
-}
-
-TEST(EncryptedMultimapTest, VariableLengthPayloads) {
-  PlainMultimap postings;
-  postings[ToBytes("w")] = {ToBytes("short"), Bytes(100, 0xaa), {}};
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built = EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(built.ok());
-  std::vector<Bytes> res = built->Search(deriver.Derive(ToBytes("w")));
-  ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(res[0], ToBytes("short"));
-  EXPECT_EQ(res[1], Bytes(100, 0xaa));
-  EXPECT_TRUE(res[2].empty());
-}
-
-TEST(EncryptedMultimapTest, LargePostingListRoundTrips) {
-  PlainMultimap postings;
-  for (uint64_t i = 0; i < 500; ++i) {
-    postings[ToBytes("big")].push_back(EncodeIdPayload(i));
-  }
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built = EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(built.ok());
-  EXPECT_EQ(built->Search(deriver.Derive(ToBytes("big"))).size(), 500u);
-}
-
-TEST(EncryptedMultimapTest, SerializeRoundTrip) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
-  Result<EncryptedMultimap> restored = EncryptedMultimap::Deserialize(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->EntryCount(), built->EntryCount());
-  EXPECT_EQ(restored->SizeBytes(), built->SizeBytes());
-  std::vector<Bytes> apple = restored->Search(deriver.Derive(ToBytes("apple")));
-  EXPECT_EQ(apple.size(), 3u);
-}
-
-TEST(EncryptedMultimapTest, SerializedLayoutIsLegacyFormat) {
-  // Byte-level pin of the wire format shared with the pre-flat-table
-  // implementation: magic, count, then (u32 label_len, label, u32
-  // value_len, value) per entry with 16-byte labels.
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
-  ASSERT_GE(blob.size(), 16u);
-  EXPECT_EQ(ReadUint64(blob, 0), 0x52535345454d4d31ull);  // "RSSEEMM1"
-  const uint64_t count = ReadUint64(blob, 8);
-  EXPECT_EQ(count, built->EntryCount());
-  size_t offset = 16;
-  for (uint64_t i = 0; i < count; ++i) {
-    ASSERT_LE(offset + 4, blob.size());
-    const uint32_t label_len = ReadUint32(blob, offset);
-    EXPECT_EQ(label_len, 16u);
-    offset += 4 + label_len;
-    ASSERT_LE(offset + 4, blob.size());
-    const uint32_t value_len = ReadUint32(blob, offset);
-    EXPECT_GE(value_len, 32u);  // IV + at least one AES block
-    EXPECT_EQ(value_len % 16, 0u);
-    offset += 4 + value_len;
-  }
-  EXPECT_EQ(offset, blob.size());
-}
-
-TEST(EncryptedMultimapTest, DeserializeIsEntryOrderIndependent) {
-  // Blobs written by older builds iterate entries in a different order;
-  // restoring must not depend on it. Reverse the entry stream and verify
-  // search parity.
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
-  const uint64_t count = ReadUint64(blob, 8);
-  std::vector<Bytes> entries;
-  size_t offset = 16;
-  for (uint64_t i = 0; i < count; ++i) {
-    const size_t start = offset;
-    offset += 4 + ReadUint32(blob, offset);
-    offset += 4 + ReadUint32(blob, offset);
-    entries.emplace_back(blob.begin() + static_cast<long>(start),
-                         blob.begin() + static_cast<long>(offset));
-  }
-  Bytes reordered(blob.begin(), blob.begin() + 16);
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    Append(reordered, *it);
-  }
-  Result<EncryptedMultimap> restored =
-      EncryptedMultimap::Deserialize(reordered);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->EntryCount(), built->EntryCount());
-  EXPECT_EQ(restored->Search(deriver.Derive(ToBytes("apple"))).size(), 3u);
-  EXPECT_EQ(restored->Search(deriver.Derive(ToBytes("banana"))).size(), 1u);
-}
-
-TEST(EncryptedMultimapTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(EncryptedMultimap::Deserialize({}).ok());
-  EXPECT_FALSE(EncryptedMultimap::Deserialize(Bytes(40, 0xab)).ok());
-}
-
-TEST(EncryptedMultimapTest, DeserializeRejectsTruncation) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
-  blob.resize(blob.size() - 5);
-  EXPECT_FALSE(EncryptedMultimap::Deserialize(blob).ok());
-}
-
-TEST(EncryptedMultimapTest, DeserializeRejectsTrailingBytes) {
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  Result<EncryptedMultimap> built =
-      EncryptedMultimap::Build(SamplePostings(), deriver);
-  ASSERT_TRUE(built.ok());
-  Bytes blob = built->Serialize();
-  blob.push_back(0x00);
-  EXPECT_FALSE(EncryptedMultimap::Deserialize(blob).ok());
-}
-
-TEST(EncryptedMultimapTest, ParallelBuildMatchesSerial) {
-  PlainMultimap postings;
-  for (uint64_t w = 0; w < 50; ++w) {
-    Bytes keyword;
-    AppendUint64(keyword, w);
-    for (uint64_t i = 0; i < 20; ++i) {
-      postings[keyword].push_back(EncodeIdPayload(w * 100 + i));
-    }
-  }
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  BuildOptions serial;
-  serial.threads = 1;
-  BuildOptions parallel;
-  parallel.threads = 8;
-  Result<EncryptedMultimap> a =
-      EncryptedMultimap::BuildWithOptions(postings, deriver, serial);
-  Result<EncryptedMultimap> b =
-      EncryptedMultimap::BuildWithOptions(postings, deriver, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->EntryCount(), b->EntryCount());
-  for (uint64_t w = 0; w < 50; ++w) {
-    Bytes keyword;
-    AppendUint64(keyword, w);
-    KeywordKeys token = deriver.Derive(keyword);
-    std::vector<Bytes> ra = a->Search(token);
-    std::vector<Bytes> rb = b->Search(token);
-    EXPECT_EQ(ra, rb) << "keyword " << w;
-  }
-}
-
 
 TEST(EmmSizingTest, SizingMatchesBytesActuallyWritten) {
   // The batch staging path reserves from ComputeKeywordEmmSizing and the
@@ -284,22 +47,6 @@ TEST(EmmSizingTest, SizingMatchesBytesActuallyWritten) {
     ASSERT_TRUE(s.ok()) << "case " << k;
     EXPECT_EQ(entries, sizing.entries) << "case " << k;
     EXPECT_EQ(bytes_written, sizing.value_bytes) << "case " << k;
-  }
-}
-
-TEST(EmmSizingTest, MultimapSizingMatchesBuiltIndex) {
-  // ComputeEmmSizing over a whole multimap equals the built index's entry
-  // count and arena bytes (SizeBytes = entries * label + value bytes).
-  PrfKeyDeriver deriver(crypto::GenerateKey());
-  for (const uint64_t quantum : {uint64_t{0}, uint64_t{4}}) {
-    PlainMultimap postings = SamplePostings();
-    const EmmSizing sizing = ComputeEmmSizing(postings, quantum);
-    Result<EncryptedMultimap> built =
-        EncryptedMultimap::Build(postings, deriver, PaddingPolicy{quantum});
-    ASSERT_TRUE(built.ok());
-    EXPECT_EQ(built->EntryCount(), sizing.entries);
-    EXPECT_EQ(built->SizeBytes(),
-              sizing.entries * kLabelBytes + sizing.value_bytes);
   }
 }
 

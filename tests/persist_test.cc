@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -19,6 +20,9 @@
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/mapped_file.h"
+#include "common/rng.h"
+#include "data/generators.h"
+#include "rsse/constant.h"
 #include "server/client.h"
 #include "server/persist.h"
 #include "server/server.h"
@@ -619,6 +623,112 @@ TEST(ServerRecoveryTest, UpdateBuiltStoreSurvivesRestart) {
   EXPECT_EQ(stats->entries, 2u);
   restarted.Shutdown();
   serve.join();
+}
+
+/// An EmmServer serving on a background thread. Destruction is the crash
+/// path: Shutdown without a drain, so only the per-request fsyncs survive.
+class ServingServer {
+ public:
+  explicit ServingServer(const ServerOptions& options) : server_(options) {
+    const Status listening = server_.Listen();
+    EXPECT_TRUE(listening.ok()) << listening.ToString();
+    if (listening.ok()) {
+      thread_ = std::thread([this] { EXPECT_TRUE(server_.Serve().ok()); });
+    }
+  }
+
+  ~ServingServer() {
+    server_.Shutdown();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  ServingServer(const ServingServer&) = delete;
+  ServingServer& operator=(const ServingServer&) = delete;
+
+  EmmServer& server() { return server_; }
+
+ private:
+  EmmServer server_;
+  std::thread thread_;
+};
+
+TEST(ServerRecoveryTest, LegacySetupAndSetupStoreInstallIdentically) {
+  // The legacy Setup frame and SetupStore(kPrimaryStore, kEmm, blob, no
+  // gate) run one install path: in both serving modes they leave
+  // byte-identical store-0.snap files, and after an unclean restart both
+  // recover the same entry count and answer every range like the owner.
+  Rng rng(23);
+  const Dataset data = GenerateUniform(/*n=*/300, /*domain_size=*/1 << 8, rng);
+  ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/5);
+  scheme.SetShards(2);
+  ASSERT_TRUE(scheme.Build(data).ok());
+  const Bytes blob = scheme.SerializeIndex();
+  const size_t entries = scheme.index().EntryCount();
+  const std::vector<Range> ranges = {{0, 255}, {10, 99}, {128, 128}};
+  std::vector<EmmClient::BatchQuery> batch;
+  std::vector<std::vector<uint64_t>> expected;
+  for (uint32_t i = 0; i < ranges.size(); ++i) {
+    batch.push_back({i, scheme.Delegate(ranges[i])});
+    Result<QueryResult> local = scheme.Query(ranges[i]);
+    ASSERT_TRUE(local.ok());
+    std::sort(local->ids.begin(), local->ids.end());
+    expected.push_back(local->ids);
+  }
+
+  for (const int mmap : {0, 1}) {
+    std::vector<Bytes> snapshots;
+    for (const bool legacy : {true, false}) {
+      const std::string where = std::string(legacy ? "Setup" : "SetupStore") +
+                                (mmap ? ", mmap" : ", heap");
+      TempDir dir;
+      ServerOptions options;
+      options.port = 0;
+      options.data_dir = dir.path();
+      options.mmap_stores = mmap;
+      {
+        ServingServer first(options);
+        EmmClient client;
+        ASSERT_TRUE(
+            client.Connect("127.0.0.1", first.server().port()).ok());
+        auto setup =
+            legacy ? client.Setup(blob)
+                   : client.SetupStore(
+                         rsse::kPrimaryStore,
+                         static_cast<uint8_t>(rsse::StoreKind::kEmm),
+                         ConstByteSpan(blob.data(), blob.size()), {});
+        ASSERT_TRUE(setup.ok()) << where << ": " << setup.status().ToString();
+        EXPECT_EQ(setup->shards, 2u) << where;
+        EXPECT_EQ(setup->entries, entries) << where;
+      }
+      auto snap = ReadFile(dir.path() + "/store-0.snap");
+      ASSERT_TRUE(snap.ok()) << where;
+      snapshots.push_back(std::move(snap).value());
+
+      ServingServer restarted(options);
+      EXPECT_EQ(restarted.server().recovery_stats().stores_recovered, 1u)
+          << where;
+      EmmClient client;
+      ASSERT_TRUE(
+          client.Connect("127.0.0.1", restarted.server().port()).ok());
+      auto stats = client.Stats();
+      ASSERT_TRUE(stats.ok()) << where << ": " << stats.status().ToString();
+      EXPECT_EQ(stats->entries, entries) << where;
+      EXPECT_EQ(stats->snapshot_format, mmap ? 2u : 1u) << where;
+      auto outcome = client.SearchBatch(batch);
+      ASSERT_TRUE(outcome.ok()) << where << ": "
+                                << outcome.status().ToString();
+      for (uint32_t i = 0; i < ranges.size(); ++i) {
+        std::vector<uint64_t> ids = outcome->ids[i];
+        std::sort(ids.begin(), ids.end());
+        EXPECT_EQ(ids, expected[i]) << where << ", range " << i;
+      }
+    }
+    // EXPECT_TRUE rather than EXPECT_EQ: a failure should not print
+    // whole page-aligned snapshot images.
+    EXPECT_TRUE(snapshots[0] == snapshots[1])
+        << (mmap ? "mmap" : "heap") << ": " << snapshots[0].size() << " vs "
+        << snapshots[1].size() << " bytes";
+  }
 }
 
 TEST(ServerRecoveryTest, UndeserializableSnapshotIsQuarantined) {

@@ -12,18 +12,26 @@
 #include "crypto/random.h"
 #include "data/generators.h"
 #include "rsse/factory.h"
-#include "rsse/logarithmic.h"
+#include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 
 namespace rsse {
 namespace {
 
+/// The flat dictionary: one shard, built in place by one thread.
+Result<shard::ShardedEmm> BuildFlat(const sse::PlainMultimap& postings,
+                                    const sse::KeywordKeyDeriver& deriver) {
+  shard::ShardOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  return shard::ShardedEmm::Build(postings, deriver, options);
+}
+
 TEST(RobustnessTest, DeserializeSurvivesRandomMutations) {
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
   sse::PlainMultimap postings;
   postings[ToBytes("w")] = {sse::EncodeIdPayload(1), sse::EncodeIdPayload(2)};
-  Result<sse::EncryptedMultimap> built =
-      sse::EncryptedMultimap::Build(postings, deriver);
+  Result<shard::ShardedEmm> built = BuildFlat(postings, deriver);
   ASSERT_TRUE(built.ok());
   Bytes blob = built->Serialize();
 
@@ -40,8 +48,7 @@ TEST(RobustnessTest, DeserializeSurvivesRandomMutations) {
     }
     // Must either parse (mutation hit ciphertext bytes only) or fail with a
     // clean status — never crash.
-    Result<sse::EncryptedMultimap> r =
-        sse::EncryptedMultimap::Deserialize(mutated);
+    Result<shard::ShardedEmm> r = shard::ShardedEmm::Deserialize(mutated);
     if (!r.ok()) {
       EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     }
@@ -54,8 +61,7 @@ TEST(RobustnessTest, SearchWithCorruptedTokenReturnsNothingOrGarbage) {
   for (uint64_t i = 0; i < 50; ++i) {
     postings[ToBytes("w")].push_back(sse::EncodeIdPayload(i));
   }
-  Result<sse::EncryptedMultimap> built =
-      sse::EncryptedMultimap::Build(postings, deriver);
+  Result<shard::ShardedEmm> built = BuildFlat(postings, deriver);
   ASSERT_TRUE(built.ok());
   sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
   // Valid label key but corrupted value key: decryptions fail cleanly and
@@ -67,15 +73,9 @@ TEST(RobustnessTest, SearchWithCorruptedTokenReturnsNothingOrGarbage) {
 }
 
 TEST(RobustnessTest, ConcurrentSearchesAreSafe) {
-  Rng rng(5);
-  Dataset data = GenerateUniform(500, 1 << 10, rng);
-  LogarithmicScheme scheme(CoverTechnique::kUrc);
-  ASSERT_TRUE(scheme.Build(data).ok());
-
-  // Query() touches the scheme's internal RNG for token permutation, so
-  // share only the server-side object: run the EMM search concurrently via
-  // const Query on separate schemes would race the rng_. Instead verify
-  // concurrent EncryptedMultimap::Search on one shared index.
+  // Query() touches a scheme's internal RNG for token permutation, so only
+  // the server-side object is shared: concurrent ShardedEmm::Search on one
+  // index.
   sse::PrfKeyDeriver deriver(crypto::GenerateKey());
   sse::PlainMultimap postings;
   for (uint64_t w = 0; w < 16; ++w) {
@@ -85,8 +85,7 @@ TEST(RobustnessTest, ConcurrentSearchesAreSafe) {
       postings[keyword].push_back(sse::EncodeIdPayload(w * 1000 + i));
     }
   }
-  Result<sse::EncryptedMultimap> emm =
-      sse::EncryptedMultimap::Build(postings, deriver);
+  Result<shard::ShardedEmm> emm = BuildFlat(postings, deriver);
   ASSERT_TRUE(emm.ok());
 
   std::atomic<int> failures{0};

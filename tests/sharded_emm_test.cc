@@ -46,24 +46,101 @@ sse::PlainMultimap MakePostings(int keywords, int per_keyword) {
 }
 
 TEST(ShardedEmmTest, MatchesFlatMultimapResults) {
+  // The flat dictionary (1 shard built in place by 1 thread), a threaded
+  // 1-shard build and a 4-shard build must all return every posting list
+  // exactly and in order — ids, variable-length and empty payloads, an
+  // empty list, a 500-entry list — with and without padding (dummies are
+  // dropped), and nothing for an unknown keyword or a foreign key.
   sse::PlainMultimap postings = MakePostings(40, 7);
+  postings[ToBytes("var")] = {ToBytes("short"), Bytes(100, 0xaa), {}};
+  postings[ToBytes("empty")] = {};
+  for (uint64_t i = 0; i < 500; ++i) {
+    postings[ToBytes("big")].push_back(sse::EncodeIdPayload(i));
+  }
   sse::PrfKeyDeriver deriver(FixedKey(0x21));
+  sse::PrfKeyDeriver foreign(FixedKey(0x22));
 
-  auto flat = sse::EncryptedMultimap::Build(postings, deriver);
-  ASSERT_TRUE(flat.ok());
+  for (const uint64_t quantum : {uint64_t{0}, uint64_t{4}}) {
+    const sse::EmmSizing sizing = sse::ComputeEmmSizing(postings, quantum);
+    for (const auto& [shards, threads] :
+         std::vector<std::pair<int, int>>{{1, 1}, {1, 8}, {4, 4}}) {
+      const std::string where = "quantum " + std::to_string(quantum) +
+                                ", " + std::to_string(shards) + " shard(s), " +
+                                std::to_string(threads) + " thread(s)";
+      ShardOptions options;
+      options.shards = shards;
+      options.threads = threads;
+      options.padding.quantum = quantum;
+      auto store = ShardedEmm::Build(postings, deriver, options);
+      ASSERT_TRUE(store.ok()) << where;
+      EXPECT_EQ(store->shard_count(), shards) << where;
+      EXPECT_EQ(store->EntryCount(), sizing.entries) << where;
+      EXPECT_EQ(store->SizeBytes(),
+                sizing.entries * kLabelBytes + sizing.value_bytes)
+          << where;
+      for (const auto& [keyword, payloads] : postings) {
+        EXPECT_EQ(store->Search(deriver.Derive(keyword)), payloads) << where;
+      }
+      EXPECT_TRUE(store->Search(deriver.Derive(ToBytes("missing"))).empty())
+          << where;
+      EXPECT_TRUE(store->Search(foreign.Derive(ToBytes("big"))).empty())
+          << where;
+    }
+  }
+  // Padding rounds every list up to the quantum: 3 -> 4 and 0 -> 4.
+  EXPECT_EQ(sse::ComputeEmmSizing(postings, 4).entries,
+            40 * 8 + 4 + 4 + 500);
+}
 
+TEST(ShardedEmmTest, SearchStatsCountGateSkipsAndDecrypts) {
+  // Three ids padded to four entries: five probes (the last one misses)
+  // and four entries that are either decrypted or skipped by the gate.
+  sse::PlainMultimap postings;
+  postings[ToBytes("w")] = {sse::EncodeIdPayload(1), sse::EncodeIdPayload(2),
+                            sse::EncodeIdPayload(3)};
+  sse::PrfKeyDeriver deriver(FixedKey(0x3c));
   ShardOptions options;
-  options.shards = 4;
-  options.threads = 4;
-  auto sharded = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->shard_count(), 4);
-  EXPECT_EQ(sharded->EntryCount(), flat->EntryCount());
-  EXPECT_EQ(sharded->SizeBytes(), flat->SizeBytes());
+  options.shards = 1;
+  options.padding.quantum = 4;
+  auto store = ShardedEmm::Build(postings, deriver, options);
+  ASSERT_TRUE(store.ok());
+  const sse::KeywordKeys token = deriver.Derive(ToBytes("w"));
+  Label dummy;  // counter 3 holds the one padding dummy
+  ASSERT_TRUE(crypto::Prf(token.label_key)
+                  .EvalCountersInto(3, 1,
+                                    ByteSpan(dummy.data(), dummy.size()),
+                                    kLabelBytes));
 
-  for (const auto& [keyword, payloads] : postings) {
-    sse::KeywordKeys token = deriver.Derive(keyword);
-    EXPECT_EQ(sharded->Search(token), flat->Search(token));
+  class SetGate : public sse::LabelGate {
+   public:
+    SetGate(std::set<Label> rejected, bool reject_all)
+        : rejected_(std::move(rejected)), reject_all_(reject_all) {}
+    bool MayContainReal(const Label& label) const override {
+      return !reject_all_ && rejected_.count(label) == 0;
+    }
+
+   private:
+    std::set<Label> rejected_;
+    bool reject_all_;
+  };
+  const SetGate pass_all({}, false);
+  const SetGate skip_dummy({dummy}, false);
+  const SetGate skip_all({}, true);
+  struct Case {
+    const sse::LabelGate* gate;
+    size_t ids;
+    size_t decrypts;
+    size_t skipped;
+  };
+  for (const Case& c : {Case{nullptr, 3, 4, 0}, Case{&pass_all, 3, 4, 0},
+                        Case{&skip_dummy, 3, 3, 1},
+                        Case{&skip_all, 0, 0, 4}}) {
+    sse::SearchStats stats;
+    const std::vector<Bytes> hits = store->Search(token, c.gate, &stats);
+    EXPECT_EQ(hits.size(), c.ids) << "skipped " << c.skipped;
+    EXPECT_EQ(stats.probes, 5u) << "skipped " << c.skipped;
+    EXPECT_EQ(stats.decrypts, c.decrypts) << "skipped " << c.skipped;
+    EXPECT_EQ(stats.skipped_decrypts, c.skipped) << "skipped " << c.skipped;
   }
 }
 
@@ -132,6 +209,53 @@ TEST(ShardedEmmTest, DeserializeRejectsCorruptBlobs) {
   EXPECT_FALSE(ShardedEmm::Deserialize(trailing).ok());
 
   EXPECT_FALSE(ShardedEmm::Deserialize(Bytes{}).ok());
+  EXPECT_FALSE(ShardedEmm::Deserialize(Bytes(40, 0xab)).ok());
+}
+
+TEST(ShardedEmmTest, SerializedLayoutIsPinnedAndEntryOrderFree) {
+  // Byte-level pin of the 1-shard v1 blob: magic, u32 shard count, one
+  // u64 section length, then the section's u64 entry count and (16-byte
+  // label, u32 value_len, value) per entry, every value an IV plus whole
+  // AES blocks. Restoring must not depend on entry order, so the entries
+  // are reversed and the blob must still load and answer identically.
+  sse::PlainMultimap postings = MakePostings(5, 3);
+  sse::PrfKeyDeriver deriver(FixedKey(0x5a));
+  ShardOptions options;
+  options.shards = 1;
+  auto store = ShardedEmm::Build(postings, deriver, options);
+  ASSERT_TRUE(store.ok());
+  const Bytes blob = store->Serialize();
+  ASSERT_GE(blob.size(), 28u);
+  EXPECT_EQ(ReadUint64(blob, 0), 0x5253534553484d31ull);  // "RSSESHM1"
+  EXPECT_EQ(ReadUint32(blob, 8), 1u);
+  EXPECT_EQ(ReadUint64(blob, 12), blob.size() - 20);
+  const uint64_t count = ReadUint64(blob, 20);
+  EXPECT_EQ(count, store->EntryCount());
+  std::vector<Bytes> entries;
+  size_t offset = 28;
+  for (uint64_t i = 0; i < count; ++i) {
+    ASSERT_LE(offset + kLabelBytes + 4, blob.size());
+    const uint32_t value_len = ReadUint32(blob, offset + kLabelBytes);
+    EXPECT_GE(value_len, 32u);  // IV + at least one AES block
+    EXPECT_EQ(value_len % 16, 0u);
+    const size_t end = offset + kLabelBytes + 4 + value_len;
+    ASSERT_LE(end, blob.size());
+    entries.emplace_back(blob.begin() + static_cast<long>(offset),
+                         blob.begin() + static_cast<long>(end));
+    offset = end;
+  }
+  EXPECT_EQ(offset, blob.size());
+
+  Bytes reordered(blob.begin(), blob.begin() + 28);
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    Append(reordered, *it);
+  }
+  auto restored = ShardedEmm::Deserialize(reordered);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->EntryCount(), store->EntryCount());
+  for (const auto& [keyword, payloads] : postings) {
+    EXPECT_EQ(restored->Search(deriver.Derive(keyword)), payloads);
+  }
 }
 
 TEST(ShardedEmmTest, DeserializeByteFlipMatrixNeverCrashes) {
@@ -144,59 +268,65 @@ TEST(ShardedEmmTest, DeserializeByteFlipMatrixNeverCrashes) {
   // fields (magic, directory, counts, lengths, routing) must reject.
   sse::PlainMultimap postings = MakePostings(6, 2);
   sse::PrfKeyDeriver deriver(FixedKey(0xa4));
-  ShardOptions options;
-  options.shards = 2;
-  auto store = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(store.ok());
-  const Bytes blob = store->Serialize();
-  const size_t entries = store->EntryCount();
+  for (const int shards : {1, 2}) {
+    ShardOptions options;
+    options.shards = shards;
+    auto store = ShardedEmm::Build(postings, deriver, options);
+    ASSERT_TRUE(store.ok());
+    const Bytes blob = store->Serialize();
+    const size_t entries = store->EntryCount();
 
-  // Everything before the first section's entries is structure: magic,
-  // shard count, directory, first entry count. A flip there must reject.
-  const size_t structural_prefix = 12 + 8 * store->shard_count() + 8;
-  size_t accepted = 0;
-  for (size_t pos = 0; pos < blob.size(); ++pos) {
-    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}}) {
-      Bytes mutated = blob;
-      mutated[pos] ^= mask;
-      auto restored = ShardedEmm::Deserialize(mutated);
-      if (pos < structural_prefix) {
-        EXPECT_FALSE(restored.ok())
-            << "structural byte " << pos << " mask " << int(mask);
-      }
-      if (!restored.ok()) continue;
-      ++accepted;
-      EXPECT_LE(restored->EntryCount(), entries);
-      for (const auto& [keyword, payloads] : postings) {
-        restored->Search(deriver.Derive(keyword));  // must not fault
+    // Everything before the first section's entries is structure: magic,
+    // shard count, directory, first entry count. A flip there must reject.
+    const size_t structural_prefix = 12 + 8 * store->shard_count() + 8;
+    size_t accepted = 0;
+    for (size_t pos = 0; pos < blob.size(); ++pos) {
+      for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}}) {
+        Bytes mutated = blob;
+        mutated[pos] ^= mask;
+        auto restored = ShardedEmm::Deserialize(mutated);
+        if (pos < structural_prefix) {
+          EXPECT_FALSE(restored.ok()) << shards << " shard(s), structural byte "
+                                      << pos << " mask " << int(mask);
+        }
+        if (!restored.ok()) continue;
+        ++accepted;
+        EXPECT_LE(restored->EntryCount(), entries);
+        for (const auto& [keyword, payloads] : postings) {
+          restored->Search(deriver.Derive(keyword));  // must not fault
+        }
       }
     }
+    // Sanity: the matrix exercised both outcomes (values dominate the
+    // blob, so some flips land in ciphertext and are structurally
+    // acceptable).
+    EXPECT_GT(accepted, 0u) << shards << " shard(s)";
   }
-  // Sanity: the matrix exercised both outcomes (values dominate the blob,
-  // so some flips land in ciphertext and are structurally acceptable).
-  EXPECT_GT(accepted, 0u);
 }
 
 TEST(ShardedEmmTest, DeserializeTruncationMatrixRejectsEveryPrefix) {
   sse::PlainMultimap postings = MakePostings(5, 2);
   sse::PrfKeyDeriver deriver(FixedKey(0xb7));
-  ShardOptions options;
-  options.shards = 2;
-  auto store = ShardedEmm::Build(postings, deriver, options);
-  ASSERT_TRUE(store.ok());
-  const Bytes blob = store->Serialize();
-  for (size_t len = 0; len < blob.size(); ++len) {
-    Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
-    EXPECT_FALSE(ShardedEmm::Deserialize(prefix).ok()) << "prefix " << len;
-  }
-  // ... and the same matrix under re-shard-on-load, whose parse path
-  // stages entries before re-routing them.
-  for (size_t len = 0; len < blob.size(); len += 7) {
-    Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
-    EXPECT_FALSE(
-        ShardedEmm::Deserialize(prefix, /*threads=*/1, /*target_shards=*/4)
-            .ok())
-        << "resharded prefix " << len;
+  for (const int shards : {1, 2}) {
+    ShardOptions options;
+    options.shards = shards;
+    auto store = ShardedEmm::Build(postings, deriver, options);
+    ASSERT_TRUE(store.ok());
+    const Bytes blob = store->Serialize();
+    for (size_t len = 0; len < blob.size(); ++len) {
+      Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
+      EXPECT_FALSE(ShardedEmm::Deserialize(prefix).ok())
+          << shards << " shard(s), prefix " << len;
+    }
+    // ... and the same matrix under re-shard-on-load, whose parse path
+    // stages entries before re-routing them.
+    for (size_t len = 0; len < blob.size(); len += 7) {
+      Bytes prefix(blob.begin(), blob.begin() + static_cast<long>(len));
+      EXPECT_FALSE(
+          ShardedEmm::Deserialize(prefix, /*threads=*/1, /*target_shards=*/4)
+              .ok())
+          << shards << " shard(s), resharded prefix " << len;
+    }
   }
 }
 
