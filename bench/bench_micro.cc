@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <optional>
+
 #include "common/rng.h"
 #include "cover/brc.h"
 #include "cover/tdag.h"
@@ -15,8 +18,10 @@
 #include "crypto/random.h"
 #include "crypto/sha.h"
 #include "dprf/ggm_dprf.h"
+#include "rsse/bloom_gate.h"
 #include "rsse/leaf_resolver.h"
 #include "rsse/local_backend.h"
+#include "server/wire.h"
 #include "shard/sharded_emm.h"
 #include "sse/encrypted_multimap.h"
 
@@ -410,6 +415,73 @@ void BM_ServeLeaves(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (int64_t{1} << level));
 }
 BENCHMARK(BM_ServeLeaves)->Arg(4)->Arg(8)->Arg(12);
+
+void BM_ServeChain(benchmark::State& state) {
+  // The served SRC-i shape: one long keyword chain (10,001 real entries,
+  // padding quantum 4, behind a 1% Bloom gate) searched through
+  // `sse::SearchEntries` into the server's per-query `PayloadArena`, in a
+  // store of about 1M entries, far past L2, so most probes miss the
+  // cache twice (slot, then value) as they do when serving. items/s
+  // counts probes, so ns/probe reads against the label PRF
+  // (BM_PrfEvalCounters) and the served per-probe cost. The store is
+  // built once and shared by every run.
+  constexpr uint64_t kChainEntries = 10001;
+  constexpr uint64_t kFillerKeywords = 1000;
+  constexpr uint64_t kFillerEntries = 1000;
+  struct Fixture {
+    sse::PrfKeyDeriver deriver{crypto::GenerateKey()};
+    shard::ShardedEmm store;
+    std::optional<BloomLabelGate> gate;
+    sse::KeywordKeys token;
+  };
+  static const Fixture fixture = [] {
+    Fixture f;
+    sse::PlainMultimap postings;
+    for (uint64_t w = 0; w <= kFillerKeywords; ++w) {
+      Bytes keyword;
+      AppendUint64(keyword, w);
+      const uint64_t n = w == 0 ? kChainEntries : kFillerEntries;
+      std::vector<Bytes>& list = postings[keyword];
+      for (uint64_t i = 0; i < n; ++i) {
+        list.push_back(sse::EncodeIdPayload(w << 32 | i));
+      }
+    }
+    shard::ShardOptions options;
+    options.shards = 1;  // the served default
+    options.threads = 4;
+    options.padding.quantum = 4;
+    auto built = shard::ShardedEmm::Build(postings, f.deriver, options);
+    if (!built.ok()) std::abort();
+    // Installed the way the server installs a Setup blob: the load lays
+    // values out in slot order, so the chain's values are scattered
+    // across the arena as they are when serving.
+    auto store = shard::ShardedEmm::Deserialize(built->Serialize());
+    if (!store.ok()) std::abort();
+    f.store = std::move(store).value();
+    f.gate.emplace(kChainEntries + kFillerKeywords * kFillerEntries, 0.01,
+                   /*salt=*/1);
+    if (!f.gate->Populate(postings, f.deriver).ok()) std::abort();
+    f.token = f.deriver.Derive(Bytes(8, 0));  // keyword 0, the chain
+    return f;
+  }();
+  size_t probes = 0;
+  for (auto _ : state) {
+    server::PayloadArena arena;
+    sse::SearchStats stats;
+    sse::SearchEntries(
+        fixture.token, fixture.store,
+        [&arena](ConstByteSpan payload) { arena.Add(payload); },
+        &*fixture.gate, &stats);
+    if (arena.size() != kChainEntries) {
+      state.SkipWithError("chain search lost payloads");
+      break;
+    }
+    probes = stats.probes;
+    benchmark::DoNotOptimize(arena);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(probes));
+}
+BENCHMARK(BM_ServeChain);
 
 }  // namespace
 }  // namespace rsse

@@ -8,6 +8,8 @@
 /// crash, over-read, or allocate proportionally to a hostile length field.
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "server/wire.h"
@@ -55,9 +57,12 @@ void DecodeTyped(FrameType type, const Bytes& payload) {
     case FrameType::kSearchKeywordReq:
       (void)SearchKeywordRequest::Decode(payload);
       break;
-    case FrameType::kSearchPayload:
+    case FrameType::kSearchPayload: {
       (void)SearchPayloadResult::Decode(payload);
+      std::map<uint32_t, std::vector<Bytes>> by_query;
+      (void)AppendSearchPayloads(payload, by_query);
       break;
+    }
   }
 }
 

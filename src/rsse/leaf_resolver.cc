@@ -13,7 +13,6 @@ size_t ResolveGgmToken(const GgmDprf::Token& token,
                        LeafResolverScratch& scratch, PayloadSink& sink,
                        sse::SearchStats* stats) {
   if (!GgmDprf::ExpandInto(token, scratch.leaves)) return 0;
-  const auto find = [&emm](const Label& label) { return emm.Find(label); };
   const auto emit = [&sink](ConstByteSpan payload) { sink.Add(payload); };
   const size_t n = scratch.leaves.size();
   for (size_t base = 0; base < n; base += LeafResolverScratch::kBlock) {
@@ -31,11 +30,14 @@ size_t ResolveGgmToken(const GgmDprf::Token& token,
         scratch.keys[0].label_key, sizeof(LeafResolverScratch::LeafKeys), m,
         scratch.midstates.data(), scratch.label0[0].data(), kLabelBytes,
         kLabelBytes);
+    // Every leaf probes its label 0, and most of those probes miss the
+    // cache: start all of the block's loads before the first probe.
+    for (size_t i = 0; i < m; ++i) emm.Prefetch(scratch.label0[i]);
     for (size_t i = 0; i < m; ++i) {
       sse::SearchChain(
           scratch.midstates[i],
           ConstByteSpan(scratch.keys[i].value_key, kLabelBytes),
-          std::span<const Label>(&scratch.label0[i], 1), find, emit,
+          std::span<const Label>(&scratch.label0[i], 1), emm, emit,
           scratch.search, gate, stats);
     }
   }

@@ -355,11 +355,8 @@ Result<EmmClient::KeywordOutcome> EmmClient::SearchKeyword(
         return DrainingError(frame->payload);
       }
       if (frame->type == FrameType::kSearchPayload) {
-        Result<SearchPayloadResult> result =
-            SearchPayloadResult::Decode(frame->payload);
-        if (!result.ok()) return result.status();
-        std::vector<Bytes>& payloads = outcome.payloads[result->query_id];
-        for (Bytes& p : result->payloads) payloads.push_back(std::move(p));
+        RSSE_RETURN_IF_ERROR(
+            AppendSearchPayloads(frame->payload, outcome.payloads));
         continue;
       }
       if (frame->type == FrameType::kSearchDone) {

@@ -1,5 +1,6 @@
 #include "server/remote_backend.h"
 
+#include <iterator>
 #include <utility>
 
 #include "sse/encrypted_multimap.h"
@@ -61,8 +62,12 @@ Result<rsse::ResolvedIds> RemoteBackend::Resolve(
         static_cast<size_t>(outcome->done.skipped_decrypts);
     auto it = outcome->payloads.find(0);
     if (it != outcome->payloads.end()) {
-      for (Bytes& payload : it->second) {
-        out.payloads.push_back(std::move(payload));
+      if (out.payloads.empty()) {
+        out.payloads = std::move(it->second);
+      } else {
+        out.payloads.insert(out.payloads.end(),
+                            std::make_move_iterator(it->second.begin()),
+                            std::make_move_iterator(it->second.end()));
       }
     }
   }

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -1376,19 +1375,32 @@ EmmServer::JobResult EmmServer::ResumeStream(Connection& conn, Job& job) {
       }
       case ResultStream::Producer::kKeyword: {
         const ResultStream::KeywordProbe& probe = s.probes[s.next_work];
+        PayloadArena& dst = s.payloads[probe.query];
+        bool fits = true;
         sse::SearchStats search_stats;
-        std::vector<Bytes> hits =
-            store->emm.Search(probe.keys, store->gate.get(), &search_stats);
+        sse::SearchEntries(
+            probe.keys, store->emm,
+            [&dst, &fits](ConstByteSpan payload) {
+              fits = dst.Add(payload) && fits;
+            },
+            store->gate.get(), &search_stats);
+        if (!fits) {
+          EmitError(conn, "query result exceeds the payload arena");
+          return JobResult::kDone;
+        }
         s.done.skipped_decrypts += search_stats.skipped_decrypts;
-        std::vector<Bytes>& dst = s.payloads[probe.query];
-        for (Bytes& hit : hits) dst.push_back(std::move(hit));
         --s.open_parts[probe.query];
         break;
       }
       case ResultStream::Producer::kFilterTree: {
         const size_t q = s.next_work;
         for (uint64_t id : store->tree->Search(s.trapdoors[q])) {
-          s.payloads[q].push_back(sse::EncodeIdPayload(id));
+          uint8_t payload[8];  // sse::EncodeIdPayload, without the vector
+          StoreUint64(payload, id);
+          if (!s.payloads[q].Add(ConstByteSpan(payload, sizeof(payload)))) {
+            EmitError(conn, "query result exceeds the payload arena");
+            return JobResult::kDone;
+          }
         }
         s.open_parts[q] = 0;
         break;
@@ -1405,6 +1417,7 @@ EmmServer::EmitResult EmmServer::PumpEmission(Connection& conn,
                      : options_.max_ids_per_result_frame,
       1);
   const size_t n = s.query_ids.size();
+  Bytes frame;  // payload frames, reused across this call's chunks
   for (;;) {
     if (s.q == n) {
       // A full rotation without a single frame means every query is
@@ -1435,9 +1448,7 @@ EmmServer::EmitResult EmmServer::PumpEmission(Connection& conn,
     // that keeps progress guaranteed whatever the configured mark.
     size_t estimate = 32;
     if (s.payload_mode) {
-      for (size_t i = 0; i < count; ++i) {
-        estimate += s.payloads[s.q][s.offset[s.q] + i].size() + 4;
-      }
+      estimate += s.payloads[s.q].SpanBytes(s.offset[s.q], count) + 4 * count;
     } else {
       estimate += count * 8;
     }
@@ -1451,15 +1462,13 @@ EmmServer::EmitResult EmmServer::PumpEmission(Connection& conn,
     }
     bool ok = false;
     if (s.payload_mode) {
-      SearchPayloadResult result;
-      result.query_id = s.query_ids[s.q];
-      const auto first =
-          s.payloads[s.q].begin() + static_cast<long>(s.offset[s.q]);
-      result.payloads.assign(std::make_move_iterator(first),
-                             std::make_move_iterator(
-                                 first + static_cast<long>(count)));
-      ok = EmitFrame(conn, FrameType::kSearchPayload, result.Encode(),
-                     "payload chunk exceeds frame limit");
+      frame.clear();
+      if (EncodeSearchPayloadFrame(s.query_ids[s.q], s.payloads[s.q],
+                                   s.offset[s.q], count, frame)) {
+        ok = EmitEncoded(conn, frame);
+      } else {
+        EmitError(conn, "payload chunk exceeds frame limit");
+      }
     } else {
       SearchResult result;
       result.query_id = s.query_ids[s.q];
@@ -1476,8 +1485,7 @@ EmmServer::EmitResult EmmServer::PumpEmission(Connection& conn,
     // bounded outbound queue.
     if (s.offset[s.q] >= std::max<size_t>(4 * cap, size_t{4096})) {
       if (s.payload_mode) {
-        std::vector<Bytes>& v = s.payloads[s.q];
-        v.erase(v.begin(), v.begin() + static_cast<long>(s.offset[s.q]));
+        s.payloads[s.q].DropPrefix(s.offset[s.q]);
       } else {
         std::vector<uint64_t>& v = s.ids[s.q];
         v.erase(v.begin(), v.begin() + static_cast<long>(s.offset[s.q]));

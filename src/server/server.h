@@ -237,7 +237,7 @@ class EmmServer {
     uint32_t store_id = 0;      // keyword path: the slot probed
     std::vector<uint32_t> query_ids;
     std::vector<std::vector<uint64_t>> ids;
-    std::vector<std::vector<Bytes>> payloads;
+    std::vector<PayloadArena> payloads;
     /// Per query: work units still unresolved (0 = result complete).
     std::vector<size_t> open_parts;
 

@@ -1,5 +1,7 @@
 #include "server/wire.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 namespace rsse::server {
@@ -67,6 +69,39 @@ class Reader {
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed frame payload: ") +
                                  what);
+}
+
+/// Big-endian u32 store, for encoders that write into a pre-sized buffer.
+void PutU32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v >> 24);
+  p[1] = static_cast<uint8_t>(v >> 16);
+  p[2] = static_cast<uint8_t>(v >> 8);
+  p[3] = static_cast<uint8_t>(v);
+}
+
+/// The body of a SearchPayload chunk after its query id: the payload
+/// count, then each length-prefixed payload, appended to `out`.
+Status ReadPayloadChunk(Reader& r, std::vector<Bytes>& out) {
+  const uint64_t count = r.U64();
+  // Each payload needs at least its 4-byte length prefix.
+  if (!r.ok() || count > r.remaining() / 4) {
+    return Malformed("search payload count");
+  }
+  // Chunks of one query arrive back to back: grow geometrically, not to
+  // each chunk's exact end.
+  const size_t needed = out.size() + static_cast<size_t>(count);
+  if (needed > out.capacity()) {
+    out.reserve(std::max(needed, 2 * out.capacity()));
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint32_t len = r.U32();
+    if (!r.ok() || len > r.remaining()) {
+      return Malformed("search payload length");
+    }
+    out.push_back(r.Blob(len));
+  }
+  if (!r.AtEnd()) return Malformed("search payload trailing bytes");
+  return Status::Ok();
 }
 
 }  // namespace
@@ -384,21 +419,56 @@ Result<SearchPayloadResult> SearchPayloadResult::Decode(
   Reader r(payload);
   SearchPayloadResult res;
   res.query_id = r.U32();
-  const uint64_t count = r.U64();
-  // Each payload needs at least its 4-byte length prefix.
-  if (!r.ok() || count > r.remaining() / 4) {
-    return Malformed("search payload count");
-  }
-  res.payloads.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t len = r.U32();
-    if (!r.ok() || len > r.remaining()) {
-      return Malformed("search payload length");
-    }
-    res.payloads.push_back(r.Blob(len));
-  }
-  if (!r.AtEnd()) return Malformed("search payload trailing bytes");
+  Status s = ReadPayloadChunk(r, res.payloads);
+  if (!s.ok()) return s;
   return res;
+}
+
+Status AppendSearchPayloads(
+    const Bytes& payload, std::map<uint32_t, std::vector<Bytes>>& by_query) {
+  Reader r(payload);
+  const uint32_t query_id = r.U32();
+  if (!r.ok()) return Malformed("search payload count");
+  return ReadPayloadChunk(r, by_query[query_id]);
+}
+
+bool PayloadArena::Add(ConstByteSpan payload) {
+  if (payload.size() > UINT32_MAX - bytes_.size()) return false;
+  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  ends_.push_back(static_cast<uint32_t>(bytes_.size()));
+  return true;
+}
+
+void PayloadArena::DropPrefix(size_t n) {
+  if (n == 0) return;
+  const uint32_t base = ends_[n - 1];
+  bytes_.erase(bytes_.begin(), bytes_.begin() + base);
+  ends_.erase(ends_.begin(), ends_.begin() + static_cast<long>(n));
+  for (uint32_t& end : ends_) end -= base;
+}
+
+bool EncodeSearchPayloadFrame(uint32_t query_id, const PayloadArena& arena,
+                              size_t first, size_t count, Bytes& out) {
+  // [u32 query_id][u64 count] plus one u32 length per payload.
+  const size_t payload_bytes =
+      12 + 4 * count + arena.SpanBytes(first, count);
+  if (payload_bytes > kMaxFrameBytes - 2) return false;
+  const size_t start = out.size();
+  out.resize(start + 6 + payload_bytes);
+  uint8_t* p = out.data() + start;
+  PutU32(p, static_cast<uint32_t>(2 + payload_bytes));
+  p[4] = kWireVersion;
+  p[5] = static_cast<uint8_t>(FrameType::kSearchPayload);
+  PutU32(p + 6, query_id);
+  StoreUint64(p + 10, count);
+  p += 18;
+  for (size_t i = first; i < first + count; ++i) {
+    const ConstByteSpan payload = arena[i];
+    PutU32(p, static_cast<uint32_t>(payload.size()));
+    if (!payload.empty()) std::memcpy(p + 4, payload.data(), payload.size());
+    p += 4 + payload.size();
+  }
+  return true;
 }
 
 // --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -230,7 +231,8 @@ struct SearchKeywordRequest {
   static Result<SearchKeywordRequest> Decode(const Bytes& payload);
 };
 
-/// A chunk of decrypted payloads for one query of a keyword batch.
+/// A chunk of decrypted payloads for one query of a keyword batch:
+/// [u32 query_id][u64 count]([u32 len][bytes])*.
 struct SearchPayloadResult {
   uint32_t query_id = 0;
   std::vector<Bytes> payloads;
@@ -238,6 +240,56 @@ struct SearchPayloadResult {
   Bytes Encode() const;
   static Result<SearchPayloadResult> Decode(const Bytes& payload);
 };
+
+/// Decodes a SearchPayload chunk straight into the client's per-query
+/// results: its payloads are appended to `by_query[query_id]`, with no
+/// intermediate `SearchPayloadResult`. Accepts exactly what
+/// `SearchPayloadResult::Decode` accepts; on a malformed chunk some of its
+/// payloads may already have been appended.
+Status AppendSearchPayloads(const Bytes& payload,
+                            std::map<uint32_t, std::vector<Bytes>>& by_query);
+
+/// One query's payloads as the server streams them: the bytes back to
+/// back in one buffer plus each payload's end offset, so producing a
+/// payload is an append rather than an allocation and a chunk's size is
+/// known in O(1).
+class PayloadArena {
+ public:
+  size_t size() const { return ends_.size(); }
+
+  /// Appends one payload; false (appending nothing) once the arena would
+  /// pass 4 GiB, which its u32 offsets cannot address.
+  bool Add(ConstByteSpan payload);
+
+  /// Payload `i`.
+  ConstByteSpan operator[](size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : ends_[i - 1];
+    return ConstByteSpan(bytes_.data() + begin, ends_[i] - begin);
+  }
+
+  /// Total bytes of payloads [first, first + count).
+  size_t SpanBytes(size_t first, size_t count) const {
+    if (count == 0) return 0;
+    return ends_[first + count - 1] - (first == 0 ? 0 : ends_[first - 1]);
+  }
+
+  /// Drops payloads [0, n) — the prefix already framed — keeping the rest.
+  void DropPrefix(size_t n);
+
+ private:
+  Bytes bytes_;
+  std::vector<uint32_t> ends_;
+};
+
+/// Appends one SearchPayload frame holding payloads [first, first + count)
+/// of `arena` as a chunk of `query_id`, written straight into `out`: the
+/// bytes equal `EncodeFrame(kSearchPayload, SearchPayloadResult{query_id,
+/// those payloads}.Encode(), out)`. False (appending nothing) past
+/// kMaxFrameBytes, as `EncodeFrame`.
+[[nodiscard]] bool EncodeSearchPayloadFrame(uint32_t query_id,
+                                            const PayloadArena& arena,
+                                            size_t first, size_t count,
+                                            Bytes& out);
 
 struct UpdateRequest {
   std::vector<std::pair<Label, Bytes>> entries;

@@ -34,16 +34,6 @@ ShardedEmm ShardedEmm::WithShards(int shards) {
   return ShardedEmm(static_cast<size_t>(ResolveShardCount(shards)));
 }
 
-size_t ShardedEmm::ShardOf(const Label& label, size_t shard_count) {
-  // Bytes [8, 16) route; bytes [0, 8) feed the in-shard probe hash
-  // (LabelHash). Labels are PRF outputs, so both halves are independently
-  // uniform. Read big-endian like the rest of the serialization format,
-  // so a multi-shard blob routes identically on every host.
-  uint64_t v = 0;
-  for (size_t i = 8; i < kLabelBytes; ++i) v = (v << 8) | label[i];
-  return static_cast<size_t>(v % shard_count);
-}
-
 Result<ShardedEmm> ShardedEmm::Build(const sse::PlainMultimap& postings,
                                      const sse::KeywordKeyDeriver& deriver,
                                      const ShardOptions& options) {
@@ -161,7 +151,10 @@ std::vector<Bytes> ShardedEmm::Search(const sse::KeywordKeys& token,
                                       sse::SearchStats* stats) const {
   std::vector<Bytes> results;
   sse::SearchEntries(
-      token, [this](const Label& label) { return Find(label); }, results,
+      token, *this,
+      [&results](ConstByteSpan payload) {
+        results.emplace_back(payload.begin(), payload.end());
+      },
       gate, stats);
   return results;
 }

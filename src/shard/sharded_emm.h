@@ -87,6 +87,13 @@ class ShardedEmm {
   /// by the next `Insert`.
   std::optional<ConstByteSpan> Find(const Label& label) const;
 
+  /// Starts loading the home slot of `label` (in its shard) into cache;
+  /// see `FlatLabelMap::Prefetch`.
+  void Prefetch(const Label& label) const {
+    if (shards_.empty()) return;
+    shards_[ShardOf(label, shards_.size())].Prefetch(label);
+  }
+
   /// Inserts one pre-encrypted entry (the batched-update path of the
   /// server: clients ship codec-format label/ciphertext pairs).
   void Insert(const Label& label, ConstByteSpan value);
@@ -163,8 +170,19 @@ class ShardedEmm {
   /// True while at least one shard serves from the mapping.
   bool IsMapped() const { return MappedBytes() > 0; }
 
-  /// Shard index of a label (public so tests can pin the routing).
-  static size_t ShardOf(const Label& label, size_t shard_count);
+  /// Shard index of a label (public so tests can pin the routing). Inline:
+  /// every probe routes twice (`Prefetch`, then `Find`).
+  static size_t ShardOf(const Label& label, size_t shard_count) {
+    // Bytes [8, 16) route; bytes [0, 8) feed the in-shard probe hash
+    // (LabelHash). Labels are PRF outputs, so both halves are
+    // independently uniform. Read big-endian like the rest of the
+    // serialization format, so a multi-shard blob routes identically on
+    // every host. One shard (the served default) needs no division.
+    if (shard_count == 1) return 0;
+    uint64_t v = 0;
+    for (size_t i = 8; i < kLabelBytes; ++i) v = (v << 8) | label[i];
+    return static_cast<size_t>(v % shard_count);
+  }
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
   size_t EntryCount() const;

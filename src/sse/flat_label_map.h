@@ -75,6 +75,19 @@ class FlatLabelMap {
   /// arena and is invalidated by the next `Insert`.
   std::optional<ConstByteSpan> Find(const Label& label) const;
 
+  /// Starts loading the home slot of `label` into cache, so a `Find`
+  /// issued a few probes later overlaps its miss with other work. A hint
+  /// only: reads nothing and is a no-op on an empty map.
+  void Prefetch(const Label& label) const {
+    if (is_view_) {
+      __builtin_prefetch(view_slots_.data() +
+                         (LabelHash{}(label) & (view_capacity_ - 1)) *
+                             kSlotRecordBytes);
+    } else if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[LabelHash{}(label) & (slots_.size() - 1)]);
+    }
+  }
+
   /// Number of stored entries.
   size_t size() const { return size_; }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -18,11 +19,15 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "crypto/random.h"
 #include "data/generators.h"
 #include "rsse/constant.h"
+#include "rsse/party.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "shard/sharded_emm.h"
 #include "sse/emm_codec.h"
+#include "sse/encrypted_multimap.h"
 #include "sse/keyword_keys.h"
 
 namespace rsse::server {
@@ -437,48 +442,91 @@ TEST(ServerLoopbackTest, MalformedFrameGetsErrorThenDisconnect) {
   EXPECT_TRUE(client.Stats().ok());
 }
 
+/// A connection with a tiny receive window that sends one request frame
+/// and then reads nothing until told to drain.
+class SlowReader {
+ public:
+  explicit SlowReader(uint16_t port) : fd_(socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    const int rcvbuf = 4096;
+    setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(
+        connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~SlowReader() { close(fd_); }
+
+  void Send(FrameType type, const Bytes& payload) {
+    Bytes frame;
+    ASSERT_TRUE(EncodeFrame(type, payload, frame));
+    ASSERT_EQ(send(fd_, frame.data(), frame.size(), 0),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  /// Reads every frame up to (not including) SearchDone.
+  void DrainUntilDone(std::vector<Frame>* frames) {
+    Bytes in;
+    size_t offset = 0;
+    for (;;) {
+      Frame frame;
+      const FrameParse parse = DecodeFrame(in, offset, frame, nullptr);
+      if (parse == FrameParse::kNeedMore) {
+        uint8_t chunk[4096];
+        const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
+        ASSERT_GT(n, 0) << "server closed mid-stream";
+        in.insert(in.end(), chunk, chunk + n);
+        continue;
+      }
+      ASSERT_EQ(parse, FrameParse::kFrame);
+      if (frame.type == FrameType::kSearchDone) return;
+      frames->push_back(std::move(frame));
+    }
+  }
+
+ private:
+  int fd_;
+};
+
 TEST(ServerLoopbackTest, SlowReaderIsBackpressuredNotBuffered) {
   // The backpressure acceptance case, deliberately on a ONE-worker pool:
   // a drip-reading client stuck mid-stream must park (releasing its
   // worker and capping its outbound queue) rather than buffer the whole
   // result set — otherwise the fast client below would hang forever.
-  Rng rng(29);
-  // Big enough that the full-domain result overflows the kernel's socket
-  // buffers, so unsent output accumulates server-side where the cap
-  // applies.
-  Dataset data = GenerateUniform(/*n=*/40000, /*domain_size=*/1 << 16, rng);
-  ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/3);
-  scheme.SetShards(2);
-  ASSERT_TRUE(scheme.Build(data).ok());
-
+  // Both streamed paths are driven: a SearchBatch of ids and a
+  // SearchKeyword of payloads.
   constexpr size_t kMaxOutbound = 32 * 1024;
-  LoopbackServer loopback([] {
+  auto options = [] {
     ServerOptions options;
     options.search_workers = 1;
     options.max_outbound_bytes = kMaxOutbound;
     options.max_ids_per_result_frame = 512;  // frames well under the cap
+    options.max_payloads_per_result_frame = 64;
     return options;
-  }());
-  {
-    EmmClient setup;
-    ASSERT_TRUE(setup.Connect("127.0.0.1", loopback.port()).ok());
-    ASSERT_TRUE(setup.Setup(scheme.SerializeIndex()).ok());
-  }
+  };
 
-  // The slow reader: tiny receive window, one full-domain query, and no
-  // reads until the end of the test.
-  const int slow_fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(slow_fd, 0);
-  const int rcvbuf = 4096;
-  setsockopt(slow_fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(loopback.port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      connect(slow_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-      0);
   {
+    SCOPED_TRACE("SearchBatch");
+    Rng rng(29);
+    // Big enough that the full-domain result overflows the kernel's socket
+    // buffers, so unsent output accumulates server-side where the cap
+    // applies.
+    Dataset data = GenerateUniform(/*n=*/40000, /*domain_size=*/1 << 16, rng);
+    ConstantScheme scheme(CoverTechnique::kBrc, /*rng_seed=*/3);
+    scheme.SetShards(2);
+    ASSERT_TRUE(scheme.Build(data).ok());
+    LoopbackServer loopback(options());
+    {
+      EmmClient setup;
+      ASSERT_TRUE(setup.Connect("127.0.0.1", loopback.port()).ok());
+      ASSERT_TRUE(setup.Setup(scheme.SerializeIndex()).ok());
+    }
+
+    // The slow reader: tiny receive window, one full-domain query, and no
+    // reads until the end of the test.
+    SlowReader slow(loopback.port());
     SearchBatchRequest req;
     WireQuery query;
     query.query_id = 7;
@@ -490,69 +538,126 @@ TEST(ServerLoopbackTest, SlowReaderIsBackpressuredNotBuffered) {
       query.tokens.push_back(wt);
     }
     req.queries.push_back(std::move(query));
-    Bytes frame;
-    ASSERT_TRUE(EncodeFrame(FrameType::kSearchBatchReq, req.Encode(), frame));
-    ASSERT_EQ(send(slow_fd, frame.data(), frame.size(), 0),
-              static_cast<ssize_t>(frame.size()));
-  }
+    ASSERT_NO_FATAL_FAILURE(slow.Send(FrameType::kSearchBatchReq,
+                                      req.Encode()));
 
-  // While the slow stream is stalled, a well-behaved client's queries
-  // must still be served — with one worker, that is only possible if the
-  // stalled job parks instead of holding it. (If parking were broken,
-  // these calls would block until the 30 s client timeout.)
-  EmmClient fast;
-  ASSERT_TRUE(fast.Connect("127.0.0.1", loopback.port()).ok());
-  for (int i = 0; i < 10; ++i) {
-    const uint64_t lo = static_cast<uint64_t>(i) * 1024;
-    EmmClient::BatchQuery q;
-    q.query_id = static_cast<uint32_t>(i);
-    q.tokens = scheme.Delegate(Range{lo, lo + 1023});
-    auto outcome = fast.SearchBatch({q});
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    Result<QueryResult> expected = scheme.Query(Range{lo, lo + 1023});
+    // While the slow stream is stalled, a well-behaved client's queries
+    // must still be served — with one worker, that is only possible if the
+    // stalled job parks instead of holding it. (If parking were broken,
+    // these calls would block until the 30 s client timeout.)
+    EmmClient fast;
+    ASSERT_TRUE(fast.Connect("127.0.0.1", loopback.port()).ok());
+    for (int i = 0; i < 10; ++i) {
+      const uint64_t lo = static_cast<uint64_t>(i) * 1024;
+      EmmClient::BatchQuery q;
+      q.query_id = static_cast<uint32_t>(i);
+      q.tokens = scheme.Delegate(Range{lo, lo + 1023});
+      auto outcome = fast.SearchBatch({q});
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      Result<QueryResult> expected = scheme.Query(Range{lo, lo + 1023});
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(Sorted(outcome->ids[q.query_id]), Sorted(expected->ids));
+    }
+
+    // The stalled connection's unsent output stayed under the high-water
+    // mark the whole time (the gauge records the running maximum).
+    EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
+              kMaxOutbound);
+
+    // Now drain the slow socket: the parked stream must resume through
+    // park/unpark cycles and deliver the exact full-domain result.
+    std::vector<Frame> frames;
+    ASSERT_NO_FATAL_FAILURE(slow.DrainUntilDone(&frames));
+    std::vector<uint64_t> slow_ids;
+    for (const Frame& frame : frames) {
+      ASSERT_EQ(frame.type, FrameType::kSearchResult);
+      auto result = SearchResult::Decode(frame.payload);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->query_id, 7u);
+      slow_ids.insert(slow_ids.end(), result->ids.begin(),
+                      result->ids.end());
+    }
+    Result<QueryResult> expected = scheme.Query(Range{0, (1 << 16) - 1});
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(Sorted(outcome->ids[q.query_id]), Sorted(expected->ids));
+    EXPECT_EQ(Sorted(std::move(slow_ids)), Sorted(expected->ids));
+    EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
+              kMaxOutbound);
   }
 
-  // The stalled connection's unsent output stayed under the high-water
-  // mark the whole time (the gauge records the running maximum).
-  EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
-            kMaxOutbound);
+  {
+    SCOPED_TRACE("SearchKeyword");
+    // One keyword with 40,000 payloads of 24 bytes, about 1 MB: far past
+    // the socket buffers, and, at 64 payloads per frame, many times past
+    // the point where the stream reclaims its framed prefix.
+    sse::PrfKeyDeriver deriver(crypto::GenerateKey());
+    sse::PlainMultimap postings;
+    std::vector<Bytes>& big = postings[ToBytes("big")];
+    for (uint32_t i = 0; i < 40000; ++i) {
+      Bytes payload(24, static_cast<uint8_t>(i));
+      StoreU32Le(payload.data(), i);
+      big.push_back(std::move(payload));
+    }
+    postings[ToBytes("small")] = {ToBytes("one"), Bytes{}, ToBytes("three")};
+    auto store = shard::ShardedEmm::Build(postings, deriver);
+    ASSERT_TRUE(store.ok());
+    LoopbackServer loopback(options());
+    {
+      EmmClient setup;
+      ASSERT_TRUE(setup.Connect("127.0.0.1", loopback.port()).ok());
+      const Bytes blob = store->Serialize();
+      ASSERT_TRUE(setup
+                      .SetupStore(/*store_id=*/1,
+                                  static_cast<uint8_t>(StoreKind::kEmm),
+                                  ConstByteSpan(blob.data(), blob.size()), {})
+                      .ok());
+    }
+    auto keyword_request = [&deriver](const char* keyword,
+                                      uint32_t query_id) {
+      const sse::KeywordKeys keys = deriver.Derive(ToBytes(keyword));
+      SearchKeywordRequest req;
+      req.store_id = 1;
+      SearchKeywordRequest::Query query;
+      query.query_id = query_id;
+      query.tokens.push_back(WireKeywordToken{0, keys.label_key,
+                                              keys.value_key});
+      req.queries.push_back(std::move(query));
+      return req;
+    };
 
-  // Now drain the slow socket: the parked stream must resume through
-  // park/unpark cycles and deliver the exact full-domain result.
-  Bytes in;
-  size_t offset = 0;
-  std::vector<uint64_t> slow_ids;
-  bool done = false;
-  while (!done) {
-    Frame frame;
-    const FrameParse parse = DecodeFrame(in, offset, frame, nullptr);
-    if (parse == FrameParse::kNeedMore) {
-      uint8_t chunk[4096];
-      const ssize_t n = recv(slow_fd, chunk, sizeof(chunk), 0);
-      ASSERT_GT(n, 0) << "server closed mid-stream";
-      in.insert(in.end(), chunk, chunk + n);
-      continue;
+    SlowReader slow(loopback.port());
+    ASSERT_NO_FATAL_FAILURE(slow.Send(FrameType::kSearchKeywordReq,
+                                      keyword_request("big", 7).Encode()));
+
+    EmmClient fast;
+    ASSERT_TRUE(fast.Connect("127.0.0.1", loopback.port()).ok());
+    const std::vector<Bytes> small =
+        store->Search(deriver.Derive(ToBytes("small")));
+    for (uint32_t i = 0; i < 10; ++i) {
+      auto outcome = fast.SearchKeyword(keyword_request("small", i));
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome->payloads[i], small);
     }
-    ASSERT_EQ(parse, FrameParse::kFrame);
-    if (frame.type == FrameType::kSearchDone) {
-      done = true;
-      break;
+    EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
+              kMaxOutbound);
+
+    // Drained, the stream delivers exactly the local payloads, in order.
+    std::vector<Frame> frames;
+    ASSERT_NO_FATAL_FAILURE(slow.DrainUntilDone(&frames));
+    std::vector<Bytes> slow_payloads;
+    for (const Frame& frame : frames) {
+      ASSERT_EQ(frame.type, FrameType::kSearchPayload);
+      auto result = SearchPayloadResult::Decode(frame.payload);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->query_id, 7u);
+      EXPECT_LE(result->payloads.size(), 64u);
+      slow_payloads.insert(slow_payloads.end(), result->payloads.begin(),
+                           result->payloads.end());
     }
-    ASSERT_EQ(frame.type, FrameType::kSearchResult);
-    auto result = SearchResult::Decode(frame.payload);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->query_id, 7u);
-    slow_ids.insert(slow_ids.end(), result->ids.begin(), result->ids.end());
+    EXPECT_EQ(slow_payloads, store->Search(deriver.Derive(ToBytes("big"))));
+    EXPECT_EQ(slow_payloads.size(), 40000u);
+    EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
+              kMaxOutbound);
   }
-  close(slow_fd);
-
-  Result<QueryResult> expected = scheme.Query(Range{0, (1 << 16) - 1});
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(Sorted(std::move(slow_ids)), Sorted(expected->ids));
-  EXPECT_LE(loopback.server().stats().peak_outbound_bytes.value(),
-            kMaxOutbound);
 }
 
 TEST(ServerLoopbackTest, PipelinedRequestsAnswerInOrder) {

@@ -9,6 +9,7 @@
 // case here.
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -100,9 +101,12 @@ size_t PumpAll(const Bytes& buf) {
       case FrameType::kSearchKeywordReq:
         (void)SearchKeywordRequest::Decode(frame.payload);
         break;
-      case FrameType::kSearchPayload:
+      case FrameType::kSearchPayload: {
         (void)SearchPayloadResult::Decode(frame.payload);
+        std::map<uint32_t, std::vector<Bytes>> by_query;
+        (void)AppendSearchPayloads(frame.payload, by_query);
         break;
+      }
       case FrameType::kStatsReq:
         break;
     }
@@ -242,6 +246,8 @@ TEST(WireFuzzTest, RawBytesThroughEveryTypedDecoder) {
     (void)SetupStoreRequest::Decode(buf);
     (void)SearchKeywordRequest::Decode(buf);
     (void)SearchPayloadResult::Decode(buf);
+    std::map<uint32_t, std::vector<Bytes>> by_query;
+    (void)AppendSearchPayloads(buf, by_query);
   }
 }
 

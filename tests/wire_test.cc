@@ -1,5 +1,9 @@
 #include "server/wire.h"
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
@@ -429,6 +433,106 @@ TEST(WirePayloadTest, SearchPayloadRoundTripAndCorruption) {
   Bytes trailing = good;
   trailing.push_back(0x00);
   EXPECT_FALSE(SearchPayloadResult::Decode(trailing).ok());
+}
+
+TEST(WirePayloadTest, AppendSearchPayloadsAcceptsWhatDecodeAccepts) {
+  SearchPayloadResult result;
+  result.query_id = 4;
+  result.payloads = {Bytes(8, 0x01), Bytes{}, Bytes(40, 0x02)};
+  const Bytes good = result.Encode();
+  std::map<uint32_t, std::vector<Bytes>> by_query;
+  by_query[4] = {Bytes(3, 0x07)};
+  ASSERT_TRUE(AppendSearchPayloads(good, by_query).ok());
+  ASSERT_TRUE(AppendSearchPayloads(good, by_query).ok());
+  std::vector<Bytes> want = {Bytes(3, 0x07)};
+  for (int i = 0; i < 2; ++i) {
+    want.insert(want.end(), result.payloads.begin(), result.payloads.end());
+  }
+  EXPECT_EQ(by_query[4], want);
+  EXPECT_EQ(by_query.size(), 1u);
+
+  // Every truncation, an inflated count and trailing bytes fail, as they
+  // fail Decode.
+  std::vector<Bytes> inputs;
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    inputs.emplace_back(good.begin(), good.begin() + static_cast<long>(cut));
+  }
+  inputs.push_back(good);
+  inputs.back()[4] = 0xff;
+  inputs.push_back(good);
+  inputs.back().push_back(0x00);
+  for (const Bytes& in : inputs) {
+    std::map<uint32_t, std::vector<Bytes>> sink;
+    EXPECT_FALSE(SearchPayloadResult::Decode(in).ok());
+    EXPECT_FALSE(AppendSearchPayloads(in, sink).ok())
+        << "input of " << in.size() << " bytes";
+  }
+}
+
+TEST(WirePayloadTest, ArenaFramesMatchEncodedSearchPayloads) {
+  // Payload lengths 0..39 (so zero-length ones recur), 100 of them, chunked
+  // the way the server frames a query at several per-frame caps.
+  std::vector<Bytes> payloads;
+  PayloadArena arena;
+  for (size_t i = 0; i < 100; ++i) {
+    Bytes p(i % 40, static_cast<uint8_t>(i));
+    ASSERT_TRUE(arena.Add(ConstByteSpan(p.data(), p.size())));
+    payloads.push_back(std::move(p));
+  }
+  ASSERT_EQ(arena.size(), payloads.size());
+  for (size_t cap : {1, 2, 3, 4096}) {
+    Bytes got;
+    Bytes want;
+    for (size_t first = 0; first < payloads.size(); first += cap) {
+      const size_t count = std::min(cap, payloads.size() - first);
+      ASSERT_TRUE(EncodeSearchPayloadFrame(11, arena, first, count, got));
+      SearchPayloadResult chunk;
+      chunk.query_id = 11;
+      chunk.payloads.assign(payloads.begin() + static_cast<long>(first),
+                            payloads.begin() +
+                                static_cast<long>(first + count));
+      const Bytes encoded = chunk.Encode();
+      ASSERT_TRUE(EncodeFrame(FrameType::kSearchPayload,
+                              ConstByteSpan(encoded.data(), encoded.size()),
+                              want));
+      EXPECT_EQ(arena.SpanBytes(first, count) + 4 * count + 12,
+                encoded.size());
+    }
+    EXPECT_EQ(got, want) << "cap " << cap;
+  }
+
+  // An empty chunk (a query with no payloads still owes one frame).
+  Bytes empty_got;
+  Bytes empty_want;
+  ASSERT_TRUE(
+      EncodeSearchPayloadFrame(3, PayloadArena(), 0, 0, empty_got));
+  SearchPayloadResult none;
+  none.query_id = 3;
+  const Bytes none_encoded = none.Encode();
+  ASSERT_TRUE(EncodeFrame(FrameType::kSearchPayload,
+                          ConstByteSpan(none_encoded.data(),
+                                        none_encoded.size()),
+                          empty_want));
+  EXPECT_EQ(empty_got, empty_want);
+
+  // The server reclaims each query's framed prefix; what stays frames as
+  // before.
+  arena.DropPrefix(37);
+  ASSERT_EQ(arena.size(), 63u);
+  Bytes got;
+  ASSERT_TRUE(EncodeSearchPayloadFrame(11, arena, 0, 63, got));
+  SearchPayloadResult rest;
+  rest.query_id = 11;
+  rest.payloads.assign(payloads.begin() + 37, payloads.end());
+  const Bytes rest_encoded = rest.Encode();
+  Bytes want;
+  ASSERT_TRUE(EncodeFrame(FrameType::kSearchPayload,
+                          ConstByteSpan(rest_encoded.data(),
+                                        rest_encoded.size()),
+                          want));
+  EXPECT_EQ(got, want);
+  arena.DropPrefix(arena.size());
+  EXPECT_EQ(arena.size(), 0u);
 }
 
 TEST(WirePayloadTest, UpdateRoundTripAndCorruption) {
